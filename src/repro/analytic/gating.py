@@ -31,6 +31,7 @@ from repro.hwopt.policy import (
     DEFAULT_MISS_FLOOR,
     GatingComparison,
     GatingRecommendation,
+    check_miss_floor,
 )
 from repro.params import MachineParams
 
@@ -58,10 +59,7 @@ def analytic_gating_for_program(
     """
     if cache_lines <= 0:
         raise ValueError("cache_lines must be positive")
-    if not 0.0 <= miss_floor <= 1.0:
-        raise ValueError(
-            f"miss_floor must be a ratio in [0, 1], got {miss_floor!r}"
-        )
+    check_miss_floor(miss_floor)
     model = model or LocalityModel(program, line_size)
     if threshold is None:
         program_ratio = model.miss_ratio(cache_lines)

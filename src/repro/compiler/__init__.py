@@ -8,7 +8,9 @@ Subpackages:
   benchmarks contain, and *executable* so traces can be generated.
 * :mod:`repro.compiler.analysis` — reference classification
   (analyzable vs non-analyzable, Section 2.3), reuse analysis, loop
-  bounds/footprint estimation, and a direction-vector dependence test.
+  bounds/footprint estimation, and the dependence-relation engine
+  (:mod:`repro.compiler.analysis.deps`) every transform's legality
+  check consults.
 * :mod:`repro.compiler.regions` — the region-detection algorithm of
   Section 2.2 plus ON/OFF marker insertion with redundant-marker
   elimination.

@@ -5,10 +5,6 @@ from repro.compiler.analysis.classify import (
     classify_loop,
     count_references,
 )
-from repro.compiler.analysis.dependence import (
-    distance_vectors,
-    permutation_legal,
-)
 from repro.compiler.analysis.footprint import nest_footprint_bytes
 from repro.compiler.analysis.reuse import (
     innermost_cost,
@@ -20,10 +16,8 @@ __all__ = [
     "analyzable_ratio",
     "classify_loop",
     "count_references",
-    "distance_vectors",
     "innermost_cost",
     "nest_footprint_bytes",
-    "permutation_legal",
     "preferred_fastest_dim",
     "rank_innermost_candidates",
 ]

@@ -1,10 +1,8 @@
 """Polyhedral-grade dependence engine: direction/distance relations.
 
-This is the engine behind every loop transform's legality question.  It
-replaces the flat structurally-aligned distance test in
-:mod:`repro.compiler.analysis.dependence` (kept for its narrow exact
-answers and API compatibility) with per-reference-pair
-:class:`DependenceRelation` objects carrying
+This is the engine behind every loop transform's legality question.
+It answers with per-reference-pair :class:`DependenceRelation` objects
+carrying
 
 * a **direction vector** over the nest's loops (``<``/``=``/``>``, with
   ``*`` appearing only in merged per-pair summaries),

@@ -14,14 +14,13 @@ from repro.core.experiment import (
     run_benchmark,
 )
 from repro.core.faults import FaultInjected, FaultPlan
-from repro.core.parallel import (
-    CellFailure,
-    SweepInterrupted,
-    resolve_jobs,
+from repro.core.parallel import CellFailure, SweepInterrupted, resolve_jobs
+from repro.core.runner import (
+    SuiteResult,
     run_benchmark_parallel,
     run_grid,
+    run_suite,
 )
-from repro.core.runner import SuiteResult, run_suite
 from repro.core.runstore import RunStore, trace_checksum
 from repro.core.sweep import SweepResult, run_sweep
 from repro.core.versions import (

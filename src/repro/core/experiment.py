@@ -18,6 +18,7 @@ __all__ = [
     "expected_version_keys",
     "run_benchmark",
     "simulate_trace",
+    "version_simulations",
 ]
 
 
@@ -105,13 +106,14 @@ class BenchmarkRun:
         return list(self.results) == expected_version_keys(mechanisms)
 
 
-def run_benchmark(
+def version_simulations(
     codes: BenchmarkCodes,
     machine: MachineParams,
     mechanisms: tuple[str, ...] = MECHANISMS,
     classify_misses: bool = False,
-) -> BenchmarkRun:
-    """Simulate base + the four versions (per mechanism) of a benchmark.
+) -> list[tuple[str, tuple]]:
+    """``(version key, simulate_trace arguments)`` of every version of a
+    benchmark, in :func:`run_benchmark` order.
 
     Version → (code, hardware) wiring per Section 4.3:
 
@@ -125,21 +127,34 @@ def run_benchmark(
     selective       selective trace   toggled by ON/OFF markers
     ==============  ================  =========================
     """
-    run = BenchmarkRun(codes.name, codes.category, machine.name)
-    run.results["base"] = simulate_trace(
-        codes.base_trace, machine, classify_misses=classify_misses
-    )
-    run.results["pure_sw"] = simulate_trace(
-        codes.optimized_trace, machine, classify_misses=classify_misses
-    )
+    base, optimized = codes.base_trace, codes.optimized_trace
+    plan = [
+        ("base", (base, machine, None, True, classify_misses)),
+        ("pure_sw", (optimized, machine, None, True, classify_misses)),
+    ]
     for mechanism in mechanisms:
-        run.results[f"pure_hw/{mechanism}"] = simulate_trace(
-            codes.base_trace, machine, mechanism, initially_on=True
-        )
-        run.results[f"combined/{mechanism}"] = simulate_trace(
-            codes.optimized_trace, machine, mechanism, initially_on=True
-        )
-        run.results[f"selective/{mechanism}"] = simulate_trace(
-            codes.selective_trace, machine, mechanism, initially_on=False
-        )
+        plan += [
+            (f"pure_hw/{mechanism}", (base, machine, mechanism, True)),
+            (f"combined/{mechanism}", (optimized, machine, mechanism, True)),
+            (
+                f"selective/{mechanism}",
+                (codes.selective_trace, machine, mechanism, False),
+            ),
+        ]
+    return plan
+
+
+def run_benchmark(
+    codes: BenchmarkCodes,
+    machine: MachineParams,
+    mechanisms: tuple[str, ...] = MECHANISMS,
+    classify_misses: bool = False,
+) -> BenchmarkRun:
+    """Simulate base + the four versions (per mechanism) of a benchmark,
+    wired as :func:`version_simulations` lists them."""
+    run = BenchmarkRun(codes.name, codes.category, machine.name)
+    for key, args in version_simulations(
+        codes, machine, mechanisms, classify_misses
+    ):
+        run.results[key] = simulate_trace(*args)
     return run

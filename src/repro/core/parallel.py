@@ -1,79 +1,70 @@
-"""Fault-tolerant process scheduler for the sweep grid.
+"""One cell lifecycle: run, retry, time out, kill, degrade.
 
 The paper's evaluation grid — 13 benchmarks × 6 machine configurations
 × 11 version/mechanism simulations — is embarrassingly parallel: every
-cell is a fresh machine instance timing a pre-generated trace.  This
-module fans that grid out over worker processes, one process per cell,
-and survives the ways long sweeps actually die:
+cell is a fresh machine instance timing a pre-generated trace.  Every
+set of cells in the repository runs through the two functions here:
+:func:`execute_cell` runs one cell, and :func:`run_cells` fans a lazily
+pulled stream of cells out over at most ``jobs`` threads, each driving
+:func:`execute_cell`.  The lifecycle survives the ways long sweeps die:
 
-* **Per-cell timeouts** — a hung worker (deadlock, runaway input) is
-  killed at ``timeout`` seconds and the cell retried; a
-  ``ProcessPoolExecutor`` cannot do this (``future.result(timeout=...)``
-  abandons the worker but leaves it running), which is why the
-  scheduler manages its own processes.
+* **Per-cell timeouts** — with ``jobs > 1`` each attempt runs in its own
+  forked worker process, killed at ``timeout`` seconds and retried (a
+  ``future.result(timeout=...)`` would abandon the worker but leave it
+  running, which is why the lifecycle manages its own processes).
 * **Bounded retry with exponential backoff** — crashed (``os._exit``,
   OOM kill, segfault), raising, and timed-out cells are retried up to
-  ``retries`` times, waiting ``backoff * 2**attempt`` (capped) between
-  attempts.
+  ``retries`` times, waiting ``backoff * 2**attempt`` (capped at 5 s)
+  between attempts.  A cell waiting to retry holds its thread slot for
+  the backoff.
 * **Graceful degradation** — a cell that exhausts its retries becomes a
-  structured :class:`CellFailure` in the result grid and the sweep
-  *completes* with partial results (``on_failure="record"``, the
-  default) instead of throwing hours of finished cells away;
-  ``on_failure="raise"`` aborts with :class:`SweepInterrupted` for
-  callers that need all-or-nothing semantics.  If worker processes
-  cannot be spawned at all, cells fall back to in-process execution.
-* **Crash-safe checkpointing** — with a :class:`~repro.core.runstore.\
-  RunStore` attached, every completed cell is persisted (atomic write,
-  embedded checksum) the moment it arrives, and ``resume=True`` skips
-  cells whose stored results verify, so a killed sweep restarts where
-  it left off and ends bit-identical to an uninterrupted run.
-* **Determinism** — results are keyed ``(config_name, benchmark_name)``
-  and reassembled in submission order by the callers, so the output is
-  independent of worker scheduling, retries, and resume boundaries.
+  structured :class:`CellFailure` (``on_failure="record"``) instead of
+  throwing hours of finished cells away; ``on_failure="raise"`` aborts
+  with :class:`SweepInterrupted`.  If worker processes cannot be
+  spawned at all, cells fall back to in-process execution.
+* **Cancellation** — ``on_failure="raise"`` and any exception in the
+  caller (including Ctrl-C) set a shared cancel event, and every
+  in-flight worker is killed before :func:`run_cells` returns.
 
-Cells are prepared lazily: the parent runs the optimizer + trace
-generation for benchmark *k+1* while workers simulate benchmark *k*,
-and at most a few benchmarks' traces are in flight at once.  Recovery
-paths are exercised end-to-end by the fault-injection harness
-(:mod:`repro.core.faults`, ``REPRO_FAULTS``).
+With ``jobs == 1`` cells run one at a time on the calling thread.
+They run in-process, with retries but with no per-cell kill and no
+execution fault injection (an ``os._exit`` fired there would end the
+whole sweep), unless a ``timeout`` or an execution fault plan needs a
+killable worker: then each cell forks one, as with ``jobs > 1``.
+Recovery paths are exercised end-to-end by the fault-injection harness
+(:mod:`repro.core.faults`, ``REPRO_FAULTS``).  The benchmark grid
+built on this lifecycle (preparation, store lookup, checkpointing)
+lives in :mod:`repro.core.runner`.
 """
 
 from __future__ import annotations
 
+import functools
 import multiprocessing as mp
 import os
+import queue
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from multiprocessing.connection import wait as _connection_wait
-from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Union
+from typing import Any, Callable, Iterable, Optional, Union
 
-from repro.core.experiment import (
-    BenchmarkRun,
-    run_benchmark,
-    simulate_trace,
-)
-from repro.core.faults import FaultPlan, corrupt_stored_entry
-from repro.core.runstore import RunStore, trace_checksum
-from repro.core.versions import MECHANISMS, BenchmarkCodes
-from repro.params import MachineParams
-from repro.workloads.base import WorkloadSpec
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.telemetry.sweeptrace import SweepTimeline
+from repro.core.experiment import BenchmarkRun
+from repro.core.faults import EXECUTION_KINDS, FaultPlan
 
 __all__ = [
     "DEFAULT_BACKOFF",
     "DEFAULT_RETRIES",
+    "Cell",
     "CellAttempt",
     "CellFailure",
     "GridValue",
     "SweepInterrupted",
     "execute_cell",
     "resolve_jobs",
-    "run_benchmark_parallel",
-    "run_grid",
+    "run_cells",
+    "task_factory",
 ]
 
 #: Default attempt budget: 1 initial try + 2 retries per cell.
@@ -81,7 +72,7 @@ DEFAULT_RETRIES = 2
 #: First retry delay in seconds; doubles per attempt, capped below.
 DEFAULT_BACKOFF = 0.25
 _BACKOFF_CAP = 5.0
-#: Upper bound on one scheduler poll, so deadlines are checked promptly.
+#: Upper bound on one worker poll, so deadlines and cancels are prompt.
 _POLL_SECONDS = 0.5
 
 
@@ -130,9 +121,8 @@ class CellFailure:
     the sweep can complete with partial results; ``kind`` is ``error``
     (the cell raised), ``timeout`` (killed at the per-cell deadline),
     ``crash`` (the worker died without reporting), ``cancelled`` (the
-    caller's cancel event killed it — :func:`execute_cell` only), or
-    ``degraded`` (the service's circuit breaker refused to execute it).
-    ``duration`` is the
+    caller's cancel event killed it), or ``degraded`` (the service's
+    circuit breaker refused to execute it).  ``duration`` is the
     wall-clock seconds from the cell's first launch to its permanent
     failure (all attempts plus backoff waits), so failure reports and
     the sweep timeline show what the dead cell actually cost.
@@ -173,9 +163,9 @@ GridValue = Union[BenchmarkRun, CellFailure]
 class CellAttempt:
     """Outcome of one execution attempt of a single cell.
 
-    ``status`` is ``ok``, ``error``, ``crash``, or ``timeout``;
-    ``fallback`` marks an attempt that ran in-process because no worker
-    could be spawned.  Attempts are numbered from 1.
+    ``status`` is ``ok``, ``error``, ``crash``, ``timeout`` or
+    ``cancelled``; ``fallback`` marks an attempt that ran in-process
+    because no worker could be spawned.  Attempts are numbered from 1.
     """
 
     attempt: int
@@ -183,6 +173,32 @@ class CellAttempt:
     seconds: float
     message: str = ""
     fallback: bool = False
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One unit of work for :func:`run_cells`.
+
+    ``fn`` and ``make_task`` are exactly :func:`execute_cell`'s;
+    ``benchmark``/``config`` name the cell in failures and fault plans.
+    """
+
+    benchmark: str
+    config: str
+    fn: Callable
+    make_task: Callable[[int, Optional[FaultPlan]], tuple]
+
+
+def task_factory(*payload) -> Callable[[int, Optional[FaultPlan]], tuple]:
+    """A ``make_task`` whose task is ``payload + (attempt, plan)``."""
+    return lambda attempt, plan: payload + (attempt, plan)
+
+
+def _check_budget(retries: int, timeout: Optional[float]) -> None:
+    if retries < 0:
+        raise ValueError(f"retries must be >= 0, got {retries}")
+    if timeout is not None and timeout <= 0:
+        raise ValueError(f"timeout must be positive, got {timeout}")
 
 
 def execute_cell(
@@ -200,13 +216,13 @@ def execute_cell(
 ):
     """Run one cell in its own worker process with full resilience.
 
-    The single-cell counterpart of :class:`_Scheduler`: the cell runs in
-    a child process (killable at ``timeout``), crashed/raising/timed-out
+    The building block of the lifecycle (:func:`run_cells` drives it
+    from threads, as does the sweep service): the cell runs in a child
+    process (killable at ``timeout``), crashed/raising/timed-out
     attempts are retried up to ``retries`` times with exponential
     backoff, an unspawnable worker falls back to in-process execution
-    (fault plan stripped, exactly like the grid scheduler), and a cell
-    that exhausts its budget returns a structured :class:`CellFailure`
-    instead of raising.
+    (fault plan stripped), and a cell that exhausts its budget returns
+    a structured :class:`CellFailure` instead of raising.
 
     ``fn`` must be a picklable module-level worker entry;
     ``make_task(attempt, plan)`` builds its (picklable) task tuple per
@@ -220,166 +236,242 @@ def execute_cell(
     process within one poll period, skips any pending backoff wait, and
     returns a :class:`CellFailure` of kind ``"cancelled"`` — never
     retried.  This is the kill path job cancellation, per-job deadlines,
-    and graceful drain all ride.
+    graceful drain and :func:`run_cells` aborts all ride.
 
     Returns ``(value_or_CellFailure, attempts)``.  Blocking: callers
-    that need concurrency run it from threads or worker pools.
+    that need concurrency run it from threads.
     """
-    if retries < 0:
-        raise ValueError(f"retries must be >= 0, got {retries}")
-    if timeout is not None and timeout <= 0:
-        raise ValueError(f"timeout must be positive, got {timeout}")
+    return _run_attempts(
+        Cell(benchmark, config, fn, make_task),
+        fork=True,
+        timeout=timeout,
+        retries=retries,
+        backoff=backoff,
+        plan=plan,
+        on_attempt=on_attempt,
+        cancel=cancel,
+    )
+
+
+def _run_attempts(
+    cell: Cell,
+    *,
+    fork: bool,
+    timeout: Optional[float],
+    retries: int,
+    backoff: float,
+    plan: Optional[FaultPlan],
+    on_attempt: Optional[Callable[[CellAttempt], None]],
+    cancel: Optional["threading.Event"],
+):
+    """:func:`execute_cell`'s retry loop; ``fork=False`` runs every
+    attempt in-process (no kill, no timeout, faults stripped)."""
+    _check_budget(retries, timeout)
     attempts: list[CellAttempt] = []
-
-    def note(record: CellAttempt) -> CellAttempt:
-        attempts.append(record)
-        if on_attempt is not None:
-            on_attempt(record)
-        return record
-
-    def cancelled_failure(started: float) -> CellFailure:
-        note(
-            CellAttempt(
-                attempt + 1,
-                "cancelled",
-                time.monotonic() - started,
-                "cancelled",
-            )
-        )
-        return CellFailure(
-            benchmark=benchmark,
-            config=config,
-            kind="cancelled",
-            attempts=attempt + 1,
-            message="cell cancelled",
-            duration=time.monotonic() - first_started,
-        )
-
     first_started = time.monotonic()
     attempt = 0
     while True:
         started = time.monotonic()
-        if cancel is not None and cancel.is_set():
-            return cancelled_failure(started), attempts
-        try:
-            proc, conn = _start_worker(fn, make_task(attempt, plan))
-        except OSError:
-            # Broken pool: run in-process with faults stripped (an
-            # os._exit fired here would kill the whole server).
-            try:
-                value = fn(make_task(attempt, None))
-            except Exception as exc:  # noqa: BLE001 - report, don't die
-                status: str = "error"
-                message = f"{type(exc).__name__}: {exc}"
-            else:
-                note(
-                    CellAttempt(
-                        attempt + 1,
-                        "ok",
-                        time.monotonic() - started,
-                        fallback=True,
-                    )
-                )
-                return value, attempts
-        else:
-            deadline = (
-                started + timeout if timeout is not None else None
-            )
-            while True:
-                wait_for = _POLL_SECONDS
-                if deadline is not None:
-                    wait_for = min(
-                        wait_for, max(0.0, deadline - time.monotonic())
-                    )
-                ready = _connection_wait([conn], timeout=wait_for)
-                if ready:
-                    try:
-                        status, value = conn.recv()
-                    except (EOFError, OSError):
-                        proc.join(1.0)
-                        status, value = (
-                            "crash",
-                            f"worker died without reporting "
-                            f"(exit code {proc.exitcode})",
-                        )
-                    break
-                if cancel is not None and cancel.is_set():
-                    _stop_worker(proc)
-                    conn.close()
-                    return cancelled_failure(started), attempts
-                if deadline is not None and time.monotonic() >= deadline:
-                    _stop_worker(proc)
-                    status, value = (
-                        "timeout",
-                        f"cell exceeded the {timeout:g}s per-cell timeout",
-                    )
-                    break
-            conn.close()
-            proc.join(1.0)
-            if status == "ok":
-                note(CellAttempt(attempt + 1, "ok", time.monotonic() - started))
-                return value, attempts
-            message = value
-        note(
-            CellAttempt(
-                attempt + 1, status, time.monotonic() - started, message
-            )
+        status, value, fallback = _attempt(
+            cell, attempt, fork, timeout, plan, cancel
         )
+        record = CellAttempt(
+            attempt + 1,
+            status,
+            time.monotonic() - started,
+            "" if status == "ok" else value,
+            fallback,
+        )
+        attempts.append(record)
+        if on_attempt is not None:
+            on_attempt(record)
+        if status == "ok":
+            return value, attempts
         attempt += 1
-        if attempt > retries:
+        if status == "cancelled" or attempt > retries:
             failure = CellFailure(
-                benchmark=benchmark,
-                config=config,
+                benchmark=cell.benchmark,
+                config=cell.config,
                 kind=status,
                 attempts=attempt,
-                message=message,
+                message="cell cancelled" if status == "cancelled" else value,
                 duration=time.monotonic() - first_started,
             )
             return failure, attempts
         delay = min(backoff * (2 ** (attempt - 1)), _BACKOFF_CAP)
-        if cancel is not None:
-            if cancel.wait(delay):
-                return cancelled_failure(time.monotonic()), attempts
-        else:
+        if cancel is None:
             time.sleep(delay)
+        else:
+            # A cancel during the wait is reported by the next attempt.
+            cancel.wait(delay)
 
 
-def _slim_codes(codes: BenchmarkCodes) -> BenchmarkCodes:
-    """Copy ``codes`` without the compiler reports.
+def _attempt(
+    cell: Cell,
+    attempt: int,
+    fork: bool,
+    timeout: Optional[float],
+    plan: Optional[FaultPlan],
+    cancel: Optional["threading.Event"],
+) -> tuple[str, Any, bool]:
+    """One attempt: ``(status, value or message, ran in-process)``."""
+    if cancel is not None and cancel.is_set():
+        return "cancelled", "cancelled", False
+    if fork:
+        try:
+            proc, conn = _start_worker(cell.fn, cell.make_task(attempt, plan))
+        except OSError:
+            pass  # broken pool: fall back to running in-process
+        else:
+            status, value = _await_worker(proc, conn, timeout, cancel)
+            return status, value, False
+    # Faults stripped: an os._exit fired here would kill the caller.
+    try:
+        return "ok", cell.fn(cell.make_task(attempt, None)), fork
+    except Exception as exc:  # noqa: BLE001 - report, don't die
+        return "error", f"{type(exc).__name__}: {exc}", fork
 
-    The reports reference IR nodes (loops, expression trees) that are
-    expensive to pickle and that no simulation cell needs.
+
+def _await_worker(proc, conn, timeout, cancel) -> tuple[str, Any]:
+    """Wait for a worker's report, killing it at a deadline or cancel."""
+    deadline = time.monotonic() + timeout if timeout is not None else None
+    try:
+        while True:
+            wait_for = _POLL_SECONDS
+            if deadline is not None:
+                wait_for = min(wait_for, max(0.0, deadline - time.monotonic()))
+            if _connection_wait([conn], timeout=wait_for):
+                try:
+                    return conn.recv()
+                except (EOFError, OSError):
+                    proc.join(1.0)
+                    return (
+                        "crash",
+                        f"worker died without reporting "
+                        f"(exit code {proc.exitcode})",
+                    )
+            if cancel is not None and cancel.is_set():
+                _stop_worker(proc)
+                return "cancelled", "cancelled"
+            if deadline is not None and time.monotonic() >= deadline:
+                _stop_worker(proc)
+                return (
+                    "timeout",
+                    f"cell exceeded the {timeout:g}s per-cell timeout",
+                )
+    except BaseException:
+        _stop_worker(proc)  # e.g. Ctrl-C while cells run on this thread
+        raise
+    finally:
+        conn.close()
+        proc.join(1.0)
+
+
+def run_cells(
+    cells: Iterable[Cell],
+    jobs: int,
+    *,
+    on_attempt: Optional[Callable[[Cell, CellAttempt, float], None]] = None,
+    on_done: Optional[Callable[[Cell, Any, list[CellAttempt]], None]] = None,
+    on_failure: str = "raise",
+    timeout: Optional[float] = None,
+    retries: int = DEFAULT_RETRIES,
+    backoff: float = DEFAULT_BACKOFF,
+    plan: Optional[FaultPlan] = None,
+) -> list:
+    """Run ``cells`` through :func:`execute_cell` on at most ``jobs``
+    threads; return their values in the order the cells were pulled.
+
+    ``cells`` is pulled lazily on the calling thread, one cell per free
+    slot, so a generator can prepare the next benchmark while workers
+    simulate the last.  With ``jobs == 1`` each cell runs on the calling
+    thread as soon as it is pulled: in-process, unless a ``timeout`` or
+    an execution fault in ``plan`` needs a killable worker, in which
+    case it forks one exactly as :func:`execute_cell` does.
+
+    ``on_attempt(cell, attempt, ended)`` (``ended`` is the attempt's
+    ``time.monotonic()`` end stamp) and ``on_done(cell, value,
+    attempts)`` are invoked only from the calling thread.  A cell that
+    exhausts its retries yields a :class:`CellFailure` value under
+    ``on_failure="record"`` and raises :class:`SweepInterrupted` (after
+    ``on_done``) under ``"raise"``.  Any exception leaving this function
+    first kills every in-flight worker.
     """
-    return BenchmarkCodes(
-        name=codes.name,
-        category=codes.category,
-        scale=codes.scale,
-        base_trace=codes.base_trace,
-        optimized_trace=codes.optimized_trace,
-        selective_trace=codes.selective_trace,
-        optimization=None,
-        markers=None,
-        regions=None,
+    if on_failure not in ("record", "raise"):
+        raise ValueError(
+            f"on_failure must be 'record' or 'raise', got {on_failure!r}"
+        )
+    _check_budget(retries, timeout)
+    values: list = []
+    cancel = threading.Event()
+    events: queue.SimpleQueue = queue.SimpleQueue()
+    attempted = on_attempt or (lambda cell, record, ended: None)
+    execute = functools.partial(
+        _run_attempts,
+        timeout=timeout,
+        retries=retries,
+        backoff=backoff,
+        plan=plan,
+        cancel=cancel,
     )
 
+    def finish(index: int, cell: Cell, value, attempts) -> None:
+        values[index] = value
+        if on_done is not None:
+            on_done(cell, value, attempts)
+        if on_failure == "raise" and isinstance(value, CellFailure):
+            raise SweepInterrupted(value)
 
-def _run_cell(task) -> BenchmarkRun:
-    """Worker entry: simulate all versions of one benchmark × config.
+    if jobs == 1:
+        faults = plan.entries if plan is not None else ()
+        fork = timeout is not None or any(
+            fault.kind in EXECUTION_KINDS for fault in faults
+        )
+        for index, cell in enumerate(cells):
+            values.append(None)
+            value, attempts = execute(
+                cell,
+                fork=fork,
+                on_attempt=lambda r: attempted(cell, r, time.monotonic()),
+            )
+            finish(index, cell, value, attempts)
+        return values
 
-    ``plan``/``attempt`` drive deterministic fault injection; a ``None``
-    plan (the normal case, and always the in-process fallback) runs the
-    cell untouched.
-    """
-    codes, machine, mechanisms, classify_misses, config_name, attempt, plan = task
-    if plan is not None:
-        plan.apply_execution(codes.name, config_name, attempt)
-    return run_benchmark(codes, machine, mechanisms, classify_misses)
+    def work(index: int, cell: Cell) -> None:
+        def note(record: CellAttempt) -> None:
+            events.put((index, cell, record, time.monotonic()))
 
+        try:
+            outcome: Any = execute(cell, fork=True, on_attempt=note)
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            outcome = exc
+        events.put((index, cell, outcome, None))
 
-def _simulate_cell(task):
-    """Worker entry: one (trace, machine, mechanism) simulation."""
-    trace, machine, mechanism, initially_on, classify_misses = task
-    return simulate_trace(trace, machine, mechanism, initially_on, classify_misses)
+    source = iter(cells)
+    running = 0
+    pool = ThreadPoolExecutor(max_workers=jobs)
+    try:
+        while True:
+            while running < jobs:
+                cell = next(source, None)
+                if cell is None:
+                    break
+                values.append(None)
+                pool.submit(work, len(values) - 1, cell)
+                running += 1
+            if not running:
+                return values
+            index, cell, payload, ended = events.get()
+            if ended is not None:
+                attempted(cell, payload, ended)
+                continue
+            running -= 1
+            if isinstance(payload, BaseException):
+                raise payload
+            finish(index, cell, *payload)
+    finally:
+        cancel.set()
+        pool.shutdown(wait=True)
 
 
 def _cell_worker(conn, fn, task) -> None:
@@ -432,451 +524,11 @@ def _stop_worker(proc) -> None:
         proc.join(1.0)
 
 
-class _Cell:
-    """Mutable per-cell scheduling state."""
+def __getattr__(name: str):
+    # The grid drivers are built on this module, so they live in
+    # repro.core.runner (which imports it); they stay importable here.
+    if name in ("run_grid", "run_benchmark_parallel"):
+        from repro.core import runner
 
-    __slots__ = (
-        "key",
-        "benchmark",
-        "config",
-        "payload",
-        "attempt",
-        "eligible_at",
-        "first_started",
-    )
-
-    def __init__(self, key, benchmark, config, payload):
-        self.key = key
-        self.benchmark = benchmark
-        self.config = config
-        self.payload = payload  # (codes, machine, mechanisms, classify)
-        self.attempt = 0
-        self.eligible_at = 0.0
-        self.first_started: Optional[float] = None  # monotonic, 1st launch
-
-    def task(self, plan: Optional[FaultPlan]):
-        return self.payload + (self.config, self.attempt, plan)
-
-    def elapsed(self) -> float:
-        """Wall-clock seconds since this cell first started running."""
-        if self.first_started is None:
-            return 0.0
-        return time.monotonic() - self.first_started
-
-
-class _Scheduler:
-    """Runs cells on worker processes with retry/timeout/fallback."""
-
-    def __init__(
-        self,
-        *,
-        workers: int,
-        timeout: Optional[float],
-        retries: int,
-        backoff: float,
-        plan: FaultPlan,
-        on_failure: str,
-        notify: Callable[[str], None],
-        on_success: Callable[[_Cell, BenchmarkRun], None],
-        timeline: Optional["SweepTimeline"] = None,
-    ):
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
-        if timeout is not None and timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {timeout}")
-        if on_failure not in ("record", "raise"):
-            raise ValueError(
-                f"on_failure must be 'record' or 'raise', got {on_failure!r}"
-            )
-        self.workers = workers
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
-        self.plan = plan
-        self.on_failure = on_failure
-        self.notify = notify
-        self.on_success = on_success
-        self.timeline = timeline
-        self.results: dict[tuple[str, str], GridValue] = {}
-        self._retry: list[_Cell] = []
-        self._running: dict[
-            object, tuple[_Cell, object, Optional[float], float]
-        ] = {}
-
-    # ------------------------------------------------------------------
-
-    def run(self, cells: Iterator[_Cell]) -> dict[tuple[str, str], GridValue]:
-        pending_source = True
-        try:
-            while True:
-                now = time.monotonic()
-                while len(self._running) < self.workers:
-                    cell = self._eligible(now)
-                    if cell is None and pending_source:
-                        cell = next(cells, None)
-                        if cell is None:
-                            pending_source = False
-                    if cell is None:
-                        break
-                    self._launch(cell)
-                    now = time.monotonic()
-                if not self._running:
-                    if not pending_source and not self._retry:
-                        break
-                    if self._retry:
-                        # Everything is backing off; sleep to eligibility.
-                        wake = min(c.eligible_at for c in self._retry)
-                        time.sleep(max(0.0, min(wake - now, _BACKOFF_CAP)))
-                    continue
-                self._collect()
-        finally:
-            for cell, proc, _, _ in self._running.values():
-                _stop_worker(proc)
-            self._running.clear()
-        return self.results
-
-    # ------------------------------------------------------------------
-
-    def _record_span(
-        self, cell: _Cell, started: float, status: str, **annotations
-    ) -> None:
-        """Append one attempt span to the sweep timeline, if attached."""
-        if self.timeline is None:
-            return
-        self.timeline.record(
-            cell.benchmark,
-            cell.benchmark,
-            cell.config,
-            start=started - self.timeline.origin,
-            status=status,
-            attempt=cell.attempt + 1,
-            **annotations,
-        )
-
-    # ------------------------------------------------------------------
-
-    def _eligible(self, now: float) -> Optional[_Cell]:
-        for index, cell in enumerate(self._retry):
-            if cell.eligible_at <= now:
-                return self._retry.pop(index)
-        return None
-
-    def _launch(self, cell: _Cell) -> None:
-        started = time.monotonic()
-        if cell.first_started is None:
-            cell.first_started = started
-        try:
-            proc, conn = _start_worker(_run_cell, cell.task(self.plan or None))
-        except OSError as exc:
-            self._run_in_process(cell, exc)
-            return
-        deadline = (
-            started + self.timeout if self.timeout is not None else None
-        )
-        self._running[conn] = (cell, proc, deadline, started)
-
-    def _run_in_process(self, cell: _Cell, cause: OSError) -> None:
-        """Broken-pool fallback: run the cell in the parent.
-
-        Faults are stripped — an ``os._exit`` fired in the parent would
-        kill the whole sweep, which is exactly what the fallback exists
-        to avoid.
-        """
-        self.notify(
-            f"  worker unavailable ({cause}); running "
-            f"{cell.benchmark} on {cell.config} in-process"
-        )
-        started = time.monotonic()
-        if cell.first_started is None:
-            cell.first_started = started
-        try:
-            value = _run_cell(cell.task(None))
-        except Exception as exc:  # noqa: BLE001
-            message = f"{type(exc).__name__}: {exc}"
-            self._record_span(
-                cell, started, "error", fallback="in-process", message=message
-            )
-            self._attempt_failed(cell, "error", message)
-            return
-        self._record_span(cell, started, "ok", fallback="in-process")
-        self._succeeded(cell, value)
-
-    def _collect(self) -> None:
-        wait_for = _POLL_SECONDS
-        now = time.monotonic()
-        deadlines = [
-            d for _, _, d, _ in self._running.values() if d is not None
-        ]
-        if deadlines:
-            wait_for = min(wait_for, max(0.0, min(deadlines) - now))
-        if self._retry and len(self._running) < self.workers:
-            # A free slot is waiting on a backoff: wake when it expires.
-            wake = min(c.eligible_at for c in self._retry)
-            wait_for = min(wait_for, max(0.0, wake - now))
-        ready = _connection_wait(list(self._running), timeout=wait_for)
-        for conn in ready:
-            cell, proc, _, started = self._running.pop(conn)
-            try:
-                status, value = conn.recv()
-            except (EOFError, OSError):
-                proc.join(1.0)
-                status, value = (
-                    "crash",
-                    f"worker died without reporting "
-                    f"(exit code {proc.exitcode})",
-                )
-            conn.close()
-            proc.join(1.0)
-            if status == "ok":
-                self._record_span(cell, started, "ok")
-                self._succeeded(cell, value)
-            elif status == "error":
-                self._record_span(cell, started, "error", message=value)
-                self._attempt_failed(cell, "error", value)
-            else:
-                self._record_span(cell, started, "crash", message=value)
-                self._attempt_failed(cell, "crash", value)
-        now = time.monotonic()
-        for conn in [
-            conn
-            for conn, (_, _, deadline, _) in self._running.items()
-            if deadline is not None and now >= deadline
-        ]:
-            cell, proc, _, started = self._running.pop(conn)
-            _stop_worker(proc)
-            conn.close()
-            self._record_span(
-                cell, started, "timeout", timeout_seconds=self.timeout
-            )
-            self._attempt_failed(
-                cell,
-                "timeout",
-                f"cell exceeded the {self.timeout:g}s per-cell timeout",
-            )
-
-    # ------------------------------------------------------------------
-
-    def _succeeded(self, cell: _Cell, value: BenchmarkRun) -> None:
-        self.results[cell.key] = value
-        self.notify(f"  {cell.benchmark} on {cell.config} done")
-        self.on_success(cell, value)
-
-    def _attempt_failed(self, cell: _Cell, kind: str, message: str) -> None:
-        cell.attempt += 1
-        if cell.attempt <= self.retries:
-            delay = min(
-                self.backoff * (2 ** (cell.attempt - 1)), _BACKOFF_CAP
-            )
-            cell.eligible_at = time.monotonic() + delay
-            self._retry.append(cell)
-            self.notify(
-                f"  {cell.benchmark} on {cell.config} {kind} "
-                f"({message}); retrying in {delay:.2f}s "
-                f"(attempt {cell.attempt + 1}/{self.retries + 1})"
-            )
-            return
-        failure = CellFailure(
-            benchmark=cell.benchmark,
-            config=cell.config,
-            kind=kind,
-            attempts=cell.attempt,
-            message=message,
-            duration=cell.elapsed(),
-        )
-        self.notify(f"  FAILED {failure.describe()}")
-        if self.on_failure == "raise":
-            raise SweepInterrupted(failure)
-        self.results[cell.key] = failure
-
-
-def run_grid(
-    specs: Iterable[WorkloadSpec],
-    machines: dict[str, MachineParams],
-    prepare: Callable[[WorkloadSpec], BenchmarkCodes],
-    mechanisms: tuple[str, ...] = MECHANISMS,
-    classify_misses: bool = False,
-    jobs: Optional[int] = None,
-    progress: Optional[Callable[[str], None]] = None,
-    *,
-    store: Union[RunStore, str, Path, None] = None,
-    resume: bool = True,
-    timeout: Optional[float] = None,
-    retries: int = DEFAULT_RETRIES,
-    backoff: float = DEFAULT_BACKOFF,
-    faults: Optional[FaultPlan] = None,
-    on_failure: str = "record",
-    timeline: Optional["SweepTimeline"] = None,
-) -> dict[tuple[str, str], GridValue]:
-    """Fan the (benchmark × configuration) grid over worker processes.
-
-    ``prepare`` runs in the parent, once per benchmark (optimizer +
-    trace generation, exactly as the sequential driver does); cells are
-    pulled lazily, so workers simulate one benchmark while the parent
-    prepares the next.
-
-    Returns results keyed ``(config_name, benchmark_name)``; a cell
-    that exhausted its retries maps to a :class:`CellFailure` (under
-    the default ``on_failure="record"``).  With a ``store``, completed
-    cells are checkpointed as they arrive and — when ``resume`` is true
-    — cells whose stored result verifies are not re-executed.  The
-    ``progress`` callback is invoked only from the calling thread.
-
-    A :class:`~repro.telemetry.sweeptrace.SweepTimeline` passed as
-    ``timeline`` collects wall-clock spans for every prepare step and
-    every cell attempt (including retries, timeouts, in-process
-    fallbacks, and store restores) for Chrome-trace export.
-    """
-    workers = resolve_jobs(jobs)
-    notify = progress if progress is not None else lambda message: None
-    plan = faults if faults is not None else FaultPlan.from_env()
-    if isinstance(store, (str, Path)):
-        store = RunStore(store)
-
-    results: dict[tuple[str, str], GridValue] = {}
-    store_keys: dict[tuple[str, str], str] = {}
-
-    def cells() -> Iterator[_Cell]:
-        from repro.core.experiment import expected_version_keys
-
-        expected = expected_version_keys(mechanisms)
-        for spec in specs:
-            notify(f"preparing {spec.name}")
-            prep_start = time.monotonic()
-            codes = _slim_codes(prepare(spec))
-            if timeline is not None:
-                timeline.record(
-                    f"prepare {spec.name}",
-                    spec.name,
-                    "prepare",
-                    start=prep_start - timeline.origin,
-                    status="prepare",
-                )
-            digests = (
-                [
-                    trace_checksum(codes.base_trace),
-                    trace_checksum(codes.optimized_trace),
-                    trace_checksum(codes.selective_trace),
-                ]
-                if store is not None
-                else []
-            )
-            for config_name, machine in machines.items():
-                key = (config_name, spec.name)
-                if store is not None:
-                    store_keys[key] = store.cell_key(
-                        "cell",
-                        spec.name,
-                        config_name,
-                        scale=codes.scale,
-                        machine=machine,
-                        mechanisms=mechanisms,
-                        classify_misses=classify_misses,
-                        digests=digests,
-                    )
-                    if resume:
-                        cached = store.get(store_keys[key])
-                        if (
-                            isinstance(cached, BenchmarkRun)
-                            and list(cached.results) == expected
-                        ):
-                            results[key] = cached
-                            if timeline is not None:
-                                timeline.restored(spec.name, config_name)
-                            notify(
-                                f"  {spec.name} on {config_name} done "
-                                "(restored from store)"
-                            )
-                            continue
-                yield _Cell(
-                    key,
-                    spec.name,
-                    config_name,
-                    (codes, machine, mechanisms, classify_misses),
-                )
-
-    def checkpoint(cell: _Cell, run: BenchmarkRun) -> None:
-        if store is None:
-            return
-        skey = store_keys[cell.key]
-        store.put(
-            skey,
-            run,
-            meta={
-                "kind": "cell",
-                "benchmark": cell.benchmark,
-                "config": cell.config,
-                "scale": cell.payload[0].scale.name,
-            },
-        )
-        fault = plan.store_fault(cell.benchmark, cell.config, cell.attempt)
-        if fault is not None:
-            corrupt_stored_entry(store, skey)
-            notify(
-                f"  injected store corruption on {cell.benchmark} "
-                f"on {cell.config} ({fault.spec()})"
-            )
-
-    scheduler = _Scheduler(
-        workers=workers,
-        timeout=timeout,
-        retries=retries,
-        backoff=backoff,
-        plan=plan,
-        on_failure=on_failure,
-        notify=notify,
-        on_success=checkpoint,
-        timeline=timeline,
-    )
-    results.update(scheduler.run(cells()))
-    return results
-
-
-def run_benchmark_parallel(
-    codes: BenchmarkCodes,
-    machine: MachineParams,
-    mechanisms: tuple[str, ...] = MECHANISMS,
-    classify_misses: bool = False,
-    jobs: Optional[int] = None,
-) -> BenchmarkRun:
-    """Parallel drop-in for :func:`repro.core.experiment.run_benchmark`.
-
-    Fans the individual version simulations (finer-grained than
-    :func:`run_grid`'s cells) over a pool; used by the single-benchmark
-    CLI path where there is only one grid cell to split.  Results are
-    reassembled in the canonical version-key order, so the returned
-    :class:`BenchmarkRun` is indistinguishable from a sequential one.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-
-    workers = resolve_jobs(jobs)
-    if workers <= 1:
-        return run_benchmark(codes, machine, mechanisms, classify_misses)
-    plan: list[tuple[str, tuple]] = [
-        ("base", (codes.base_trace, machine, None, True, classify_misses)),
-        ("pure_sw", (codes.optimized_trace, machine, None, True, classify_misses)),
-    ]
-    for mechanism in mechanisms:
-        plan.append(
-            (
-                f"pure_hw/{mechanism}",
-                (codes.base_trace, machine, mechanism, True, False),
-            )
-        )
-        plan.append(
-            (
-                f"combined/{mechanism}",
-                (codes.optimized_trace, machine, mechanism, True, False),
-            )
-        )
-        plan.append(
-            (
-                f"selective/{mechanism}",
-                (codes.selective_trace, machine, mechanism, False, False),
-            )
-        )
-    run = BenchmarkRun(codes.name, codes.category, machine.name)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [(key, pool.submit(_simulate_cell, task)) for key, task in plan]
-        for key, future in futures:
-            run.results[key] = future.result()
-    return run
+        return getattr(runner, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -8,21 +8,22 @@ compiler's static marker placement — the reproduction's analogue of a
 fully-associative miss ratio at the L1 capacity rides along as context:
 it is the locality the whole exercise is trying to fix.
 
-Benchmarks are independent, so :func:`locality_rows` fans them over a
-process pool exactly like the sweep engine (``--jobs`` / ``REPRO_JOBS``,
+Benchmarks are independent, so :func:`locality_rows` fans them out
+through the sweep engine's cell lifecycle (``--jobs`` / ``REPRO_JOBS``,
 results identical for any job count).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
+from repro.core.parallel import Cell, resolve_jobs, run_cells, task_factory
 from repro.core.versions import prepare_codes
 from repro.hwopt.policy import (
     DEFAULT_MISS_FLOOR,
     GatingComparison,
+    check_miss_floor,
     recommend_gating,
 )
 from repro.locality.mrc import distance_histogram
@@ -118,9 +119,11 @@ def locality_row(
     )
 
 
-def _row_task(task) -> LocalityRow:
-    """Worker entry for the process pool."""
-    name, scale, machine, miss_floor = task
+def _locality_cell(task) -> LocalityRow:
+    """Worker entry: one benchmark's row."""
+    name, scale, machine, miss_floor, attempt, plan = task
+    if plan is not None:
+        plan.apply_execution(name, machine.name, attempt)
     return locality_row(get_spec(name), scale, machine, miss_floor)
 
 
@@ -136,34 +139,28 @@ def locality_rows(
     ``jobs`` follows the sweep-engine convention (``None`` → the
     ``REPRO_JOBS`` environment variable or the CPU count); results are
     assembled in submission order, identical for any job count.
+    ``progress`` receives ``profiling {benchmark}`` as each benchmark
+    starts.  A benchmark that exhausts its retries raises
+    :class:`~repro.core.parallel.SweepInterrupted`.
     """
-    from repro.core.parallel import resolve_jobs
-
+    # Bad arguments fail here, before any cell is prepared or retried.
+    check_miss_floor(miss_floor)
     names = (
-        list(benchmarks)
+        [get_spec(name).name for name in benchmarks]
         if benchmarks is not None
         else [spec.name for spec in all_specs()]
     )
     machine = base_config().scaled(scale.machine_divisor)
-    workers = resolve_jobs(jobs)
-    if workers <= 1 or len(names) <= 1:
-        rows = []
+
+    def cells() -> Iterator[Cell]:
         for name in names:
             if progress:
                 progress(f"profiling {name}")
-            rows.append(
-                locality_row(get_spec(name), scale, machine, miss_floor)
+            yield Cell(
+                name,
+                machine.name,
+                _locality_cell,
+                task_factory(name, scale, machine, miss_floor),
             )
-        return rows
-    tasks = [(name, scale, machine, miss_floor) for name in names]
-    rows = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            (name, pool.submit(_row_task, task))
-            for name, task in zip(names, tasks)
-        ]
-        for name, future in futures:
-            rows.append(future.result())
-            if progress:
-                progress(f"{name} profiled")
-    return rows
+
+    return run_cells(cells(), resolve_jobs(jobs))

@@ -11,13 +11,11 @@ is an explicit characterization target.
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.experiment import simulate_trace
-from repro.core.parallel import resolve_jobs
+from repro.core.parallel import Cell, resolve_jobs, run_cells, task_factory
 from repro.core.runstore import RunStore
 from repro.core.versions import prepare_codes
 from repro.params import MachineParams, base_config
@@ -43,11 +41,7 @@ class Table2Row:
 
 
 def _characterize(name: str, scale: Scale, machine: MachineParams) -> Table2Row:
-    """Prepare and simulate one benchmark's base code into its row.
-
-    Top-level so the parallel path can ship (name, scale, machine) to a
-    worker process instead of pickling traces.
-    """
+    """Prepare and simulate one benchmark's base code into its row."""
     spec = get_spec(name)
     codes = prepare_codes(spec, scale, machine)
     result = simulate_trace(codes.base_trace, machine, classify_misses=True)
@@ -61,15 +55,12 @@ def _characterize(name: str, scale: Scale, machine: MachineParams) -> Table2Row:
     )
 
 
-def _characterize_timed(name: str, scale: Scale, machine: MachineParams):
-    """Like :func:`_characterize` but bracketed with monotonic stamps.
-
-    ``CLOCK_MONOTONIC`` is system-wide on Linux, so worker-side stamps
-    land directly on the parent's :class:`SweepTimeline` clock.
-    """
-    start = time.monotonic()
-    row = _characterize(name, scale, machine)
-    return row, start, time.monotonic()
+def _table2_cell(task) -> Table2Row:
+    """Worker entry: ships (name, scale, machine), not traces."""
+    name, scale, machine, attempt, plan = task
+    if plan is not None:
+        plan.apply_execution(name, machine.name, attempt)
+    return _characterize(name, scale, machine)
 
 
 def table2_rows(
@@ -84,7 +75,9 @@ def table2_rows(
 
     With ``jobs`` > 1 (or ``None`` for the ``REPRO_JOBS``/CPU-count
     default) each benchmark is prepared and simulated in its own worker
-    process; row order and values are identical either way.
+    process, retried if it dies; row order and values are identical
+    either way.  A row that exhausts its retries raises
+    :class:`~repro.core.parallel.SweepInterrupted`.
 
     With a ``store``, each row is checkpointed as it completes and —
     when ``resume`` is true — rows with verified stored results are
@@ -92,9 +85,9 @@ def table2_rows(
     digests: preparation happens inside the worker, and workloads are
     deterministic functions of benchmark × scale).
 
-    ``timeline`` optionally collects one wall-clock span per simulated
-    row (worker-side stamps in the parallel path) plus restore events,
-    for Chrome-trace export via :mod:`repro.telemetry`.
+    ``timeline`` optionally collects one wall-clock span per attempt
+    plus restore events, for Chrome-trace export via
+    :mod:`repro.telemetry`.
     """
     if machine is None:
         machine = base_config().scaled(scale.machine_divisor)
@@ -120,45 +113,36 @@ def table2_rows(
                     timeline.restored(name, machine.name)
     missing = [name for name in names if name not in rows]
 
-    def record(name: str, row: Table2Row) -> None:
-        rows[name] = row
+    def record(cell: Cell, row: Table2Row, attempts) -> None:
+        rows[cell.benchmark] = row
         if store is not None:
             store.put(
-                keys[name],
+                keys[cell.benchmark],
                 row,
                 meta={
                     "kind": "table2",
-                    "benchmark": name,
+                    "benchmark": cell.benchmark,
                     "config": machine.name,
                     "scale": scale.name,
                 },
             )
 
-    def span(name: str, start: float, end: float) -> None:
+    def span(cell: Cell, attempt, ended: float) -> None:
         if timeline is not None:
-            timeline.record(
-                name,
+            timeline.attempt(cell.benchmark, cell.config, attempt, ended)
+
+    run_cells(
+        (
+            Cell(
                 name,
                 machine.name,
-                start=start - timeline.origin,
-                end=end - timeline.origin,
-                status="ok",
+                _table2_cell,
+                task_factory(name, scale, machine),
             )
-
-    workers = resolve_jobs(jobs)
-    if workers > 1 and missing:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                (name, pool.submit(_characterize_timed, name, scale, machine))
-                for name in missing
-            ]
-            for name, future in futures:
-                row, start, end = future.result()
-                span(name, start, end)
-                record(name, row)
-    else:
-        for name in missing:
-            row, start, end = _characterize_timed(name, scale, machine)
-            span(name, start, end)
-            record(name, row)
+            for name in missing
+        ),
+        resolve_jobs(jobs),
+        on_attempt=span,
+        on_done=record,
+    )
     return [rows[name] for name in names]

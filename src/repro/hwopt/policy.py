@@ -31,6 +31,7 @@ __all__ = [
     "DEFAULT_MISS_FLOOR",
     "GatingRecommendation",
     "GatingComparison",
+    "check_miss_floor",
     "compare_policies",
     "recommend_gating",
 ]
@@ -44,6 +45,14 @@ __all__ = [
 #: fully-associative L1": below that, a pollution-control assist has
 #: too few misses to recover to justify being ON.
 DEFAULT_MISS_FLOOR = 0.2
+
+
+def check_miss_floor(miss_floor: float) -> None:
+    """Reject a ``miss_floor`` outside [0, 1] with ``ValueError``."""
+    if not 0.0 <= miss_floor <= 1.0:
+        raise ValueError(
+            f"miss_floor must be a ratio in [0, 1], got {miss_floor!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -121,10 +130,7 @@ def compare_policies(
     """
     if cache_lines <= 0:
         raise ValueError("cache_lines must be positive")
-    if not 0.0 <= miss_floor <= 1.0:
-        raise ValueError(
-            f"miss_floor must be a ratio in [0, 1], got {miss_floor!r}"
-        )
+    check_miss_floor(miss_floor)
     if threshold is None:
         trace_ratio = profile.total_histogram().curve().miss_ratio(
             cache_lines

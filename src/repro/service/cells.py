@@ -3,7 +3,7 @@
 Every service request is decomposed into :class:`CellSpec` records —
 the independent units the run store content-addresses.  A ``simulate``
 or ``sweep`` request maps onto exactly the same ``cell`` entries the
-offline sweep engine writes (:func:`repro.core.parallel.run_grid`), a
+offline sweep engine writes (:func:`repro.core.runner.run_grid`), a
 ``table2`` request onto the ``table2`` rows of
 :func:`repro.evaluation.table2.table2_rows`, and so on — so a store
 warmed by an offline ``repro table3 --store DIR`` serves the matching
@@ -26,17 +26,18 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable
 
 from repro.core.experiment import BenchmarkRun, expected_version_keys
-from repro.core.faults import FaultPlan
-from repro.core.parallel import CellFailure, _run_cell
+from repro.core.parallel import CellFailure, task_factory
+from repro.core.runner import _run_cell
 from repro.core.runstore import RunStore
 from repro.core.sweep import SweepResult
 from repro.core.versions import MECHANISMS, PREFETCH
-from repro.evaluation.locality import LocalityRow, locality_row
-from repro.evaluation.table2 import Table2Row, _characterize
+from repro.evaluation.locality import LocalityRow, _locality_cell
+from repro.evaluation.table2 import Table2Row, _table2_cell
 from repro.evaluation.table3 import TABLE3_COLUMNS
+from repro.hwopt.policy import DEFAULT_MISS_FLOOR
 from repro.params import SENSITIVITY_CONFIGS, MachineParams, base_config
 from repro.workloads.base import MEDIUM, SMALL, TINY, Scale
 from repro.workloads.registry import all_specs, get_spec
@@ -104,20 +105,6 @@ def failure_to_json(failure: CellFailure) -> dict:
 
 # ----------------------------------------------------------------------
 # worker entries (module-level: run via execute_cell in child processes)
-
-
-def _table2_cell(task):
-    name, scale, machine, attempt, plan = task
-    if plan is not None:
-        plan.apply_execution(name, machine.name, attempt)
-    return _characterize(name, scale, machine)
-
-
-def _locality_cell(task):
-    name, scale, machine, attempt, plan = task
-    if plan is not None:
-        plan.apply_execution(name, machine.name, attempt)
-    return locality_row(get_spec(name), scale, machine)
 
 
 def _profile_cell(task):
@@ -222,48 +209,29 @@ class CellSpec:
         if self.kind == "cell":
             if codes is None:
                 raise ValueError("cell kind requires prepared codes")
-
-            def make_cell_task(attempt: int, plan: Optional[FaultPlan]):
-                return (
-                    codes,
-                    self.machine,
-                    self.mechanisms,
-                    self.classify_misses,
-                    self.config,
-                    attempt,
-                    plan,
-                )
-
-            return _run_cell, make_cell_task
+            return _run_cell, task_factory(
+                codes,
+                self.machine,
+                self.mechanisms,
+                self.classify_misses,
+                self.config,
+            )
         if self.kind == "table2":
-
-            def make_table2_task(attempt: int, plan: Optional[FaultPlan]):
-                return (self.benchmark, self.scale, self.machine, attempt, plan)
-
-            return _table2_cell, make_table2_task
+            return _table2_cell, task_factory(
+                self.benchmark, self.scale, self.machine
+            )
         if self.kind == "locality":
-
-            def make_locality_task(attempt: int, plan: Optional[FaultPlan]):
-                return (self.benchmark, self.scale, self.machine, attempt, plan)
-
-            return _locality_cell, make_locality_task
+            return _locality_cell, task_factory(
+                self.benchmark, self.scale, self.machine, DEFAULT_MISS_FLOOR
+            )
         if self.kind == "profile":
-            version, mechanism, interval = self._profile_identity()
-
-            def make_profile_task(attempt: int, plan: Optional[FaultPlan]):
-                return (
-                    self.benchmark,
-                    self.scale,
-                    self.machine,
-                    self.config,
-                    version,
-                    mechanism,
-                    interval,
-                    attempt,
-                    plan,
-                )
-
-            return _profile_cell, make_profile_task
+            return _profile_cell, task_factory(
+                self.benchmark,
+                self.scale,
+                self.machine,
+                self.config,
+                *self._profile_identity(),
+            )
         raise ValueError(f"unknown cell kind {self.kind!r}")
 
     def _profile_identity(self) -> tuple[str, str, int]:

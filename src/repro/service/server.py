@@ -82,10 +82,10 @@ from repro.core.parallel import (
     DEFAULT_RETRIES,
     CellAttempt,
     CellFailure,
-    _slim_codes,
     execute_cell,
     resolve_jobs,
 )
+from repro.core.runner import _slim_codes
 from repro.core.runstore import RunStore, trace_checksum
 from repro.core.versions import prepare_codes
 from repro.hwopt.policy import DEFAULT_MISS_FLOOR
@@ -824,18 +824,7 @@ class SweepService:
     ) -> None:
         cell.attempts = record.attempt
         self.metrics["attempts"] += 1
-        timeline.record(
-            cell.spec.benchmark,
-            cell.spec.benchmark,
-            cell.spec.config,
-            start=max(timeline.clock() - record.seconds, 0.0),
-            status=record.status,
-            attempt=record.attempt,
-            **(
-                {"message": record.message} if record.message else {}
-            ),
-            **({"fallback": "in-process"} if record.fallback else {}),
-        )
+        timeline.attempt(cell.spec.benchmark, cell.spec.config, record)
         job.emit(
             "attempt",
             benchmark=cell.spec.benchmark,

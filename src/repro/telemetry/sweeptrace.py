@@ -1,17 +1,17 @@
 """Wall-clock timeline of a sweep: where the hours actually go.
 
-The fault-tolerant scheduler (:mod:`repro.core.parallel`) and the
-sequential suite driver record one :class:`WallSpan` per cell *attempt*
-into a :class:`SweepTimeline` — so retries, timeouts, in-process
-fallbacks, and store-restored cells are all visible — plus instant
-events for cells resumed from the run store.  Export via
+The sweep drivers built on the cell lifecycle of
+:mod:`repro.core.parallel` record one :class:`WallSpan` per cell
+*attempt* into a :class:`SweepTimeline` — so retries, timeouts,
+in-process fallbacks, and store-restored cells are all visible — plus
+instant events for cells resumed from the run store.  Export via
 :func:`repro.telemetry.chrometrace.sweep_trace_events` renders one
 timeline row per machine configuration in Perfetto.
 
 Timestamps are ``time.monotonic()`` seconds from the timeline's own
 start, taken in whichever process does the work; all spans of one
 sweep share the parent's clock (worker attempts are timed by the
-parent scheduler around the worker's lifetime).
+parent around the worker's lifetime).
 """
 
 from __future__ import annotations
@@ -83,6 +83,36 @@ class SweepTimeline:
         )
         self.spans.append(span)
         return span
+
+    def attempt(
+        self,
+        benchmark: str,
+        config: str,
+        record,
+        ended: Optional[float] = None,
+    ) -> WallSpan:
+        """Record one finished :class:`~repro.core.parallel.CellAttempt`.
+
+        ``ended`` is the attempt's ``time.monotonic()`` end stamp
+        (default: now); the failure message and an in-process fallback
+        ride along as annotations.
+        """
+        end = self.clock() if ended is None else ended - self.origin
+        annotations = {}
+        if record.message:
+            annotations["message"] = record.message
+        if record.fallback:
+            annotations["fallback"] = "in-process"
+        return self.record(
+            benchmark,
+            benchmark,
+            config,
+            start=max(end - record.seconds, 0.0),
+            end=end,
+            status=record.status,
+            attempt=record.attempt,
+            **annotations,
+        )
 
     def restored(self, benchmark: str, config: str, **annotations) -> WallSpan:
         """Record a cell skipped because its stored result verified."""

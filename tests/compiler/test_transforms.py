@@ -2,12 +2,7 @@
 
 import numpy as np
 
-from repro.compiler.analysis.dependence import (
-    INDEPENDENT,
-    distance_vectors,
-    pair_distance,
-    permutation_legal,
-)
+from repro.compiler.analysis.deps import Permutation, nest_dependences
 from repro.compiler.ir.builder import ProgramBuilder, loop, stmt
 from repro.compiler.ir.expr import var
 from repro.compiler.ir.refs import RegisterRef
@@ -55,6 +50,14 @@ def paper_example(n=16):
 
 
 class TestDependence:
+    """Distance and legality answers of the live dependence engine."""
+
+    def _deps(self, body, loops=("i", "j")):
+        inner = body
+        for name in reversed(loops):
+            inner = [loop(name, 1, 7, inner)]
+        return nest_dependences(inner[0])
+
     def _refs(self, n=8):
         b = ProgramBuilder("d")
         a = b.array("A", (n, n))
@@ -63,51 +66,93 @@ class TestDependence:
     def test_uniform_distance(self):
         a = self._refs()
         i, j = var("i"), var("j")
-        dist = pair_distance(a[i, j], a[i - 1, j], ["i", "j"])
-        assert dist == (1, 0)
+        deps = self._deps([stmt(writes=[a[i, j]], reads=[a[i - 1, j]])])
+        assert [rel.distance for rel in deps.relations] == [(1, 0)]
+        assert deps.legal(Permutation((1, 0)))   # becomes (0, 1): ok
 
     def test_independent_constants(self):
         a = self._refs()
         i = var("i")
-        assert pair_distance(a[i, 0], a[i, 1], ["i"]) == INDEPENDENT
+        deps = self._deps(
+            [stmt(writes=[a[i, 0]], reads=[a[i, 1]])], loops=("i",)
+        )
+        assert deps.analyzable
+        assert deps.relations == []
 
-    def test_structural_mismatch_unknown(self):
+    def test_independent_subscripts(self):
+        a = self._refs(16)
+        i, j = var("i"), var("j")
+        deps = self._deps(
+            [stmt(writes=[a[2 * i, j]], reads=[a[2 * i + 1, j]])]
+        )
+        assert deps.relations == []
+        assert deps.legal(Permutation((1, 0)))
+
+    def test_transposed_pair_refuses_interchange(self):
+        # A[i][j] = A[j][i]: the write at (1, 2) is read at (2, 1), a
+        # (<, >) dependence that interchange would reverse.
         a = self._refs()
         i, j = var("i"), var("j")
-        assert pair_distance(a[i, j], a[j, i], ["i", "j"]) is None
+        deps = self._deps([stmt(writes=[a[i, j]], reads=[a[j, i]])])
+        assert deps.analyzable
+        assert deps.legal(Permutation((0, 1)))
+        assert not deps.legal(Permutation((1, 0)))
 
-    def test_coupled_subscript_unknown(self):
+    def test_coupled_subscripts_solved(self):
+        # Every iteration touches its own A[i+j][j]: only the
+        # same-iteration read-before-write pair, so any order is legal.
+        a = self._refs(16)
+        i, j = var("i"), var("j")
+        deps = self._deps(
+            [stmt(writes=[a[i + j, j]], reads=[a[i + j, j]])]
+        )
+        assert deps.relations
+        assert all(rel.loop_independent for rel in deps.relations)
+        assert deps.legal(Permutation((1, 0)))
+
+    def test_unanalyzable_reference_refused(self):
+        from repro.compiler.ir.refs import NonAffineRef
+
         a = self._refs()
         i, j = var("i"), var("j")
-        assert pair_distance(a[i + j, j], a[i + j, j], ["i", "j"]) is None
+        opaque = NonAffineRef(a, lambda env: (env["i"] % 3, env["j"]))
+        deps = self._deps([stmt(writes=[opaque], reads=[a[i, j]])])
+        assert not deps.analyzable
+        assert not deps.legal(Permutation((0, 1)))
 
     def test_rank_mismatch_unknown_not_truncated(self):
         # Same array name declared with different ranks: zipping the
-        # subscripts would silently drop one and "answer" (0,); the
-        # analysis must refuse instead.
+        # subscripts would silently drop one and "answer" a distance;
+        # the analysis must refuse instead.
         from repro.compiler.ir.refs import AffineRef, ArrayDecl
 
         a = self._refs()
         flat = ArrayDecl("A", (64,))
         i, j = var("i"), var("j")
-        two_d = a[i, j]
-        one_d = AffineRef(flat, (var("i"),))
-        assert pair_distance(two_d, one_d, ["i", "j"]) is None
-        assert pair_distance(one_d, two_d, ["i", "j"]) is None
+        for writes, reads in (
+            ([a[i, j]], [AffineRef(flat, (i,))]),
+            ([AffineRef(flat, (i,))], [a[i, j]]),
+        ):
+            deps = self._deps([stmt(writes=writes, reads=reads)])
+            assert not deps.analyzable
+            assert not deps.legal(Permutation((0, 1)))
 
     def test_permutation_legality(self):
-        assert permutation_legal([(0, 1)], (1, 0))   # becomes (1, 0): ok
-        assert not permutation_legal([(1, -1)], (1, 0))  # (-1, 1): bad
-        assert not permutation_legal(None, (0, 1))
+        a = self._refs()
+        i, j = var("i"), var("j")
+        carried = self._deps([stmt(writes=[a[i, j]], reads=[a[i - 1, j + 1]])])
+        assert [rel.distance for rel in carried.relations] == [(1, -1)]
+        assert carried.legal(Permutation((0, 1)))
+        assert not carried.legal(Permutation((1, 0)))   # (-1, 1): bad
+        forward = self._deps([stmt(writes=[a[i, j]], reads=[a[i, j - 1]])])
+        assert forward.legal(Permutation((1, 0)))   # (0, 1) -> (1, 0)
 
     def test_vectors_for_stencil(self):
         a = self._refs()
         i, j = var("i"), var("j")
-        statements = [
-            stmt(writes=[a[i, j]], reads=[a[i, j - 1]], work=1),
-        ]
-        vectors = distance_vectors(["i", "j"], statements)
-        assert vectors == [(0, 1)]
+        deps = self._deps([stmt(writes=[a[i, j]], reads=[a[i, j - 1]])])
+        assert [rel.distance for rel in deps.relations] == [(0, 1)]
+        assert [rel.kind for rel in deps.relations] == ["flow"]
 
 
 class TestInterchange:
