@@ -53,11 +53,16 @@ outcome in bulk (grouping accesses by set, where LRU evolution is
 independent, and replaying each set's short sequence against the live
 ``SetAssociativeCache`` state), and a timing phase that folds the
 resulting per-access latency/provenance columns through the identical
-issue/LSQ/port/refill/MSHR recurrence.  Segments where the hardware
-assist is enabled fall back to ``_run_packed_range`` on the same
-shared state, so mechanisms whose decisions interleave with the access
-stream (MAT bypass, victim swaps) keep the reference semantics and the
-vector kernels resume mid-trace afterwards.
+issue/LSQ/port/refill/MSHR recurrence.  Victim-cache segments are
+replayed in bulk too, and that is exact: a victim hit swaps the line
+back into L1 with the same ``fill`` an L2 fill would do (and an L2
+victim hit does the same ``l2.fill`` as a DRAM fill), so L1 and L2 tag
+and LRU state never depend on the victim caches, which then run as
+sequential filters over each level's miss and eviction stream.
+Segments with bypassing enabled fall back to ``_run_packed_range`` on
+the same shared state: its MAT/SLDT decisions read the L1 victim
+candidate and change what L1 holds, so they interleave with the access
+stream.  The vector kernels resume mid-trace afterwards.
 """
 
 from __future__ import annotations

@@ -173,7 +173,6 @@ class VictimCacheAssist(AssistInterface):
         self.machine = machine
         self.l1_victim = VictimCache(machine.victim.l1_entries, "L1victim")
         self.l2_victim = VictimCache(machine.victim.l2_entries, "L2victim")
-        self._hits = 0
 
     # -- AssistInterface ------------------------------------------------
 
@@ -186,7 +185,6 @@ class VictimCacheAssist(AssistInterface):
         block = self.l1_victim.extract(line)
         if block is None:
             return None
-        self._hits += 1
         if is_write:
             block.dirty = True
         return (1, block)  # promote back into L1 (swap)
@@ -207,10 +205,7 @@ class VictimCacheAssist(AssistInterface):
         return self.l1_victim.insert(block)
 
     def lookup_l2_alternate(self, line: int) -> Optional[CacheBlock]:
-        block = self.l2_victim.extract(line)
-        if block is not None:
-            self._hits += 1
-        return block
+        return self.l2_victim.extract(line)
 
     def on_l2_evict(self, block: CacheBlock) -> Optional[CacheBlock]:
         return self.l2_victim.insert(block)
@@ -218,11 +213,15 @@ class VictimCacheAssist(AssistInterface):
     def count_prefetch(self) -> None:
         pass  # victim caches never prefetch
 
+    @property
+    def victim_caches(self) -> tuple[VictimCache, VictimCache]:
+        return self.l1_victim, self.l2_victim
+
     # -- counters --------------------------------------------------------
 
     @property
     def assist_hits(self) -> int:
-        return self._hits
+        return self.l1_victim.stats.hits + self.l2_victim.stats.hits
 
     @property
     def bypassed_fills(self) -> int:

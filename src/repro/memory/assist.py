@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.memory.block import CacheBlock
+from repro.memory.victim import VictimCache
 
 __all__ = ["FillDecision", "AssistInterface", "ServeResult", "DEFAULT_FILL"]
 
@@ -114,6 +115,18 @@ class AssistInterface(abc.ABC):
     @abc.abstractmethod
     def count_prefetch(self) -> None:
         """Record one extra line fetched by a variable-size fetch."""
+
+    @property
+    def victim_caches(self) -> Optional[tuple[VictimCache, VictimCache]]:
+        """The ``(L1, L2)`` victim caches, if that is all the assist is.
+
+        Such an assist's spans can be replayed in bulk (see
+        :meth:`repro.memory.hierarchy.MemoryHierarchy.bulk_classify`):
+        it never changes which lines L1 or L2 hold, or their LRU order,
+        only where a miss is served from.  None (the default) keeps
+        enabled spans on the scalar path.
+        """
+        return None
 
     # ------------------------------------------------------------------
     # aggregate counters surfaced into HierarchySnapshot

@@ -40,12 +40,22 @@ The key decompositions, each exact rather than approximate:
   columns; the caller sorts the merged stream once and
   :func:`replay_l2` applies the same per-set replay to it.
 
+* **Victim caches as miss-stream filters.**  A victim hit refills the
+  primary cache with the same fill a next-level fill would do, so the
+  per-set replays above are exact with victim caches attached; each
+  replay reports every miss's evicted line, and
+  :func:`filter_victims` runs the live victim cache over those misses
+  in order, settling victim hits, dirty bits and writebacks.
+
 Latency never feeds back into any of these structures, which is what
 makes the phase split legal — see the bit-identity note in
 :mod:`repro.cpu.pipeline`.
 """
 
 from __future__ import annotations
+
+from array import array
+from itertools import repeat
 
 import numpy as np
 
@@ -55,6 +65,7 @@ __all__ = [
     "replay_tlb",
     "replay_cache",
     "replay_l2",
+    "filter_victims",
     "replay_shadow",
 ]
 
@@ -251,6 +262,21 @@ def replay_tlb(tlb, pages: np.ndarray) -> np.ndarray:
     return miss
 
 
+def _dirty_mask(miss_rep: np.ndarray, dirty_rep: list) -> np.ndarray:
+    """Per-miss flags marking the misses listed in ``dirty_rep``.
+
+    Both come from one replay loop, so ``dirty_rep`` is an increasing
+    subsequence of ``miss_rep``.  ``miss_rep`` ascends except inside a
+    no-eviction fast-path segment (its misses come in line order), but
+    such a segment owns a contiguous index range and holds no entry of
+    ``dirty_rep``, so a binary search still finds every entry exactly.
+    """
+    mask = np.zeros(miss_rep.size, dtype=bool)
+    if dirty_rep:
+        mask[np.searchsorted(miss_rep, dirty_rep)] = True
+    return mask
+
+
 def replay_cache(cache, lines: np.ndarray, writes, need_hits: bool = True):
     """Replay a line-number stream against a live set-associative cache.
 
@@ -259,14 +285,17 @@ def replay_cache(cache, lines: np.ndarray, writes, need_hits: bool = True):
     path).  ``writes`` is a bool column, or None for a read-only
     stream (instruction fetch).
 
-    Returns ``(hit, miss_pos, miss_lines, wb_pos, wb_lines)``:
+    Returns ``(hit, miss_pos, miss_lines, evicted, evicted_dirty)``:
 
     * ``hit`` — per-access hit flags, input order (``None`` unless
       ``need_hits``; only the shadow classifier consumes them);
     * ``miss_pos``/``miss_lines`` — stream positions and line numbers
       of the demand misses (each needs a next-level access and fill);
-    * ``wb_pos``/``wb_lines`` — stream positions that evicted a dirty
-      victim, and the victim line numbers (each needs a writeback).
+    * ``evicted``/``evicted_dirty`` — aligned with the misses: the line
+      each miss's fill evicted (-1 if it took a free way), and whether
+      that line was written while resident (dirty at span entry, or
+      written since its fill).  Without an assist the dirty ones are
+      exactly the writebacks; a victim cache captures all of them.
 
     Event columns are NOT chronologically ordered across sets; callers
     order the merged next-level stream by the original record
@@ -278,7 +307,7 @@ def replay_cache(cache, lines: np.ndarray, writes, need_hits: bool = True):
     stats.accesses += n
     if n == 0:
         hit = _EMPTY_BOOL if need_hits else None
-        return hit, _EMPTY_I64, _EMPTY_I64, _EMPTY_I64, _EMPTY_I64
+        return hit, _EMPTY_I64, _EMPTY_I64, _EMPTY_I64, _EMPTY_BOOL
     mask = cache._set_mask
     num_sets = cache._num_sets
     sets = lines & mask if mask >= 0 else lines % num_sets
@@ -310,13 +339,15 @@ def replay_cache(cache, lines: np.ndarray, writes, need_hits: bool = True):
 
     assoc = cache._assoc
     cache_sets = cache._sets
+    # Per miss: its rep index and the line its fill evicted (-1 for a
+    # free way; a machine-word array, so the per-miss line objects are
+    # not kept alive); dirty evictions also log their rep index.
     miss_rep: list = []
     miss_append = miss_rep.append
-    wb_rep: list = []
-    wb_rep_append = wb_rep.append
-    wb_lines_list: list = []
-    wb_lines_append = wb_lines_list.append
-    evictions = writebacks = 0
+    evicted_list = array("q")
+    evicted_append = evicted_list.append
+    dirty_rep: list = []
+    dirty_append = dirty_rep.append
     for k, set_id in enumerate(set_ids):
         a, b = starts[k], starts[k + 1]
         od = cache_sets[set_id]
@@ -325,6 +356,7 @@ def replay_cache(cache, lines: np.ndarray, writes, need_hits: bool = True):
             if fast is not None:
                 new_lines, first_idx, u, last_order = fast
                 miss_rep.extend((a + first_idx).tolist())
+                evicted_list.extend([-1] * first_idx.size)
                 if rep_write_arr is None:
                     dirty_u = np.zeros(u.size, dtype=bool)
                 else:
@@ -380,12 +412,9 @@ def replay_cache(cache, lines: np.ndarray, writes, need_hits: bool = True):
                         l0, l1, l2, l3 = l1, l2, l3, ln
                         d0, d1, d2, d3 = d1, d2, d3, d0
                     else:
-                        if l0 != -1:
-                            evictions += 1
-                            if d0:
-                                writebacks += 1
-                                wb_rep_append(i)
-                                wb_lines_append(l0)
+                        if d0:  # empty ways are (-1, False)
+                            dirty_append(i)
+                        evicted_append(l0)
                         l0, l1, l2, l3 = l1, l2, l3, ln
                         d0, d1, d2, d3 = d1, d2, d3, False
                         miss_append(i)
@@ -406,12 +435,9 @@ def replay_cache(cache, lines: np.ndarray, writes, need_hits: bool = True):
                         l0, l1, l2, l3 = l1, l2, l3, ln
                         d0, d1, d2, d3 = d1, d2, d3, d0 or w
                     else:
-                        if l0 != -1:
-                            evictions += 1
-                            if d0:
-                                writebacks += 1
-                                wb_rep_append(i)
-                                wb_lines_append(l0)
+                        if d0:  # empty ways are (-1, False)
+                            dirty_append(i)
+                        evicted_append(l0)
                         l0, l1, l2, l3 = l1, l2, l3, ln
                         d0, d1, d2, d3 = d1, d2, d3, w
                         miss_append(i)
@@ -433,14 +459,13 @@ def replay_cache(cache, lines: np.ndarray, writes, need_hits: bool = True):
                 prev = pop(ln, _MISS)
                 if prev is _MISS:
                     if size >= assoc:
-                        evictions += 1
                         victim = next(iter(lru))
                         if pop(victim):
-                            writebacks += 1
-                            wb_rep_append(i)
-                            wb_lines_append(victim)
+                            dirty_append(i)
+                        evicted_append(victim)
                     else:
                         size += 1
+                        evicted_append(-1)
                     lru[ln] = False
                     miss_append(i)
                 else:
@@ -453,14 +478,13 @@ def replay_cache(cache, lines: np.ndarray, writes, need_hits: bool = True):
                 prev = pop(ln, _MISS)
                 if prev is _MISS:
                     if size >= assoc:
-                        evictions += 1
                         victim = next(iter(lru))
                         if pop(victim):
-                            writebacks += 1
-                            wb_rep_append(i)
-                            wb_lines_append(victim)
+                            dirty_append(i)
+                        evicted_append(victim)
                     else:
                         size += 1
+                        evicted_append(-1)
                     lru[ln] = w
                     miss_append(i)
                 else:
@@ -473,8 +497,7 @@ def replay_cache(cache, lines: np.ndarray, writes, need_hits: bool = True):
     misses = len(miss_rep)
     stats.hits += n - misses
     stats.misses += misses
-    stats.evictions += evictions
-    stats.writebacks += writebacks
+    stats.writebacks += len(dirty_rep)
 
     miss_rep_arr = np.array(miss_rep, dtype=np.int64)
     if misses:
@@ -487,13 +510,9 @@ def replay_cache(cache, lines: np.ndarray, writes, need_hits: bool = True):
         miss_sorted_pos = miss_rep_arr
         miss_pos = _EMPTY_I64
         miss_lines = _EMPTY_I64
-    if wb_rep:
-        wb_rep_arr = np.array(wb_rep, dtype=np.int64)
-        wb_pos = order[rep_idx[wb_rep_arr] if collapsed else wb_rep_arr]
-        wb_lines = np.array(wb_lines_list, dtype=np.int64)
-    else:
-        wb_pos = _EMPTY_I64
-        wb_lines = _EMPTY_I64
+    evicted = np.frombuffer(evicted_list, dtype=np.int64)
+    stats.evictions += int(np.count_nonzero(evicted >= 0))
+    evicted_dirty = _dirty_mask(miss_rep_arr, dirty_rep)
 
     if need_hits:
         hit_sorted = np.ones(n, dtype=bool)
@@ -503,7 +522,7 @@ def replay_cache(cache, lines: np.ndarray, writes, need_hits: bool = True):
         hit[order] = hit_sorted
     else:
         hit = None
-    return hit, miss_pos, miss_lines, wb_pos, wb_lines
+    return hit, miss_pos, miss_lines, evicted, evicted_dirty
 
 
 def replay_l2(cache, memory, lines: np.ndarray, kinds: np.ndarray):
@@ -517,14 +536,19 @@ def replay_l2(cache, memory, lines: np.ndarray, kinds: np.ndarray):
     ``MemoryHierarchy._access_l2`` / ``_writeback_to_l2`` with no
     assist attached.
 
-    Returns per-event hit flags in input order (meaningful for demand
-    events; writeback entries are padding).  Updates L2 statistics and
-    the DRAM read/write counters.  Shadow classification is left to
-    :func:`replay_shadow` on the demand sub-stream.
+    Returns ``(hit, miss_idx, evicted, evicted_dirty)``: per-event hit
+    flags in input order (meaningful for demand events; writeback
+    entries are padding), the input indices of the demand misses (not
+    in input order), and aligned with them the line each miss's fill
+    evicted and its dirty bit (as in :func:`replay_cache`).  Updates
+    L2 statistics and the DRAM read/write counters as if no assist
+    were attached (:func:`filter_victims` callers correct them).
+    Shadow classification is left to :func:`replay_shadow` on the
+    demand sub-stream.
     """
     n = lines.size
     if n == 0:
-        return _EMPTY_BOOL
+        return _EMPTY_BOOL, _EMPTY_I64, _EMPTY_I64, _EMPTY_BOOL
     mask = cache._set_mask
     num_sets = cache._num_sets
     sets = lines & mask if mask >= 0 else lines % num_sets
@@ -537,9 +561,14 @@ def replay_l2(cache, memory, lines: np.ndarray, kinds: np.ndarray):
 
     assoc = cache._assoc
     cache_sets = cache._sets
-    hits = evictions = writebacks = mem_reads = mem_writes = 0
+    hits = absent_writebacks = 0
+    # Per demand miss, as in replay_cache.
     miss_rep: list = []
     miss_append = miss_rep.append
+    evicted_list = array("q")
+    evicted_append = evicted_list.append
+    dirty_rep: list = []
+    dirty_append = dirty_rep.append
     for k, set_id in enumerate(set_ids):
         a, b = starts[k], starts[k + 1]
         od = cache_sets[set_id]
@@ -575,14 +604,11 @@ def replay_l2(cache, memory, lines: np.ndarray, kinds: np.ndarray):
                         hits += 1
                 elif wb:
                     # Absent writeback bypasses the cache entirely.
-                    mem_writes += 1
+                    absent_writebacks += 1
                 else:
-                    mem_reads += 1
-                    if l0 != -1:
-                        evictions += 1
-                        if d0:
-                            writebacks += 1
-                            mem_writes += 1
+                    if d0:  # empty ways are (-1, False)
+                        dirty_append(i)
+                    evicted_append(l0)
                     l0, l1, l2, l3 = l1, l2, l3, ln
                     d0, d1, d2, d3 = d1, d2, d3, False
                     miss_append(i)
@@ -605,17 +631,16 @@ def replay_l2(cache, memory, lines: np.ndarray, kinds: np.ndarray):
             if prev is _MISS:
                 if wb:
                     # Absent writeback bypasses the cache entirely.
-                    mem_writes += 1
+                    absent_writebacks += 1
                 else:
-                    mem_reads += 1
                     if size >= assoc:
-                        evictions += 1
                         victim = next(iter(lru))
                         if pop(victim):
-                            writebacks += 1
-                            mem_writes += 1
+                            dirty_append(i)
+                        evicted_append(victim)
                     else:
                         size += 1
+                        evicted_append(-1)
                     lru[ln] = False
                     miss_append(i)
             elif wb:
@@ -633,17 +658,140 @@ def replay_l2(cache, memory, lines: np.ndarray, kinds: np.ndarray):
     stats.accesses += total_demand
     stats.hits += hits
     stats.misses += total_demand - hits
-    stats.evictions += evictions
+    evicted = np.frombuffer(evicted_list, dtype=np.int64)
+    writebacks = len(dirty_rep)
+    stats.evictions += int(np.count_nonzero(evicted >= 0))
     stats.writebacks += writebacks
-    memory.reads += mem_reads
-    memory.writes += mem_writes
+    memory.reads += len(miss_rep)
+    memory.writes += absent_writebacks + writebacks
 
+    miss_rep_arr = np.array(miss_rep, dtype=np.int64)
     hit_sorted = np.ones(n, dtype=bool)
-    if miss_rep:
-        hit_sorted[np.array(miss_rep, dtype=np.int64)] = False
+    hit_sorted[miss_rep_arr] = False
     hit = np.empty(n, dtype=bool)
     hit[order] = hit_sorted
-    return hit
+    return (
+        hit,
+        order[miss_rep_arr],
+        evicted,
+        _dirty_mask(miss_rep_arr, dirty_rep),
+    )
+
+
+def filter_victims(
+    victim, cache, miss_lines, evicted, evicted_dirty, probe=None
+):
+    """Run a live victim cache over one cache level's replayed misses.
+
+    A victim-cache hit is promoted back with the same ``fill`` a
+    next-level fill would do, so the primary cache's tags and LRU order
+    never depend on the victim cache and its per-set replay (which
+    already produced these misses) stays exact.  Only the victim cache
+    itself, the dirty bits and the traffic below depend on it, and this
+    sequential pass settles them.  All inputs are per miss of the
+    primary ``cache``, in chronological order:
+
+    * ``miss_lines`` — the missing lines;
+    * ``evicted``/``evicted_dirty`` — the line each miss's fill evicted
+      (-1 if none) and its written-while-resident bit, as returned by
+      :func:`replay_cache` / :func:`replay_l2`;
+    * ``probe`` — flags for the misses that use the victim cache (probe
+      it, and send it the line their fill evicts), or None for all of
+      them.  Instruction fetch reaches L2 with no assist.
+
+    Per miss, in order: extract the missing line (a hit promotes the
+    victim block's dirty bit into the primary cache), then insert the
+    evicted line with dirty = written-while-resident OR promoted-dirty,
+    merging into a copy the victim cache already holds.  Mutates the
+    victim cache's blocks and statistics, the primary cache's
+    writeback counter and the dirty bits of promoted lines still
+    resident at the end.
+
+    Returns ``(hit, spill_idx, spill_lines, unprobed_dirty)``: per-miss
+    victim-hit flags; the miss indices whose insertion displaced a
+    dirty victim-cache line and those lines (each needs a writeback to
+    the next level); and the number of dirty evictions by misses that
+    do not use the victim cache (each is written straight back).
+    """
+    n = miss_lines.size
+    # Working LRU: line -> dirty flag, insertion order = LRU order (as
+    # in replay_cache); written back to the live blocks at the end.
+    lru = {line: block.dirty for line, block in victim._blocks.items()}
+    pop = lru.pop
+    size = len(lru)
+    capacity = victim.entries
+    promoted: set = set()
+    hit_idx: list = []
+    spill_idx: list = []
+    spill_lines: list = []
+    probes = displaced = unprobed_dirty = promoted_only = 0
+    probe_iter = repeat(True) if probe is None else probe.tolist()
+    i = 0
+    for ln, uses, ev, dirty in zip(
+        miss_lines.tolist(),
+        probe_iter,
+        evicted.tolist(),
+        evicted_dirty.tolist(),
+    ):
+        if uses:
+            probes += 1
+            prev = pop(ln, _MISS)
+            if prev is not _MISS:
+                size -= 1
+                hit_idx.append(i)
+                if prev:
+                    promoted.add(ln)
+        if ev >= 0:
+            if promoted and ev in promoted:
+                promoted.discard(ev)
+                if not dirty:
+                    dirty = True
+                    promoted_only += 1
+            if not uses:
+                unprobed_dirty += dirty
+            else:
+                prev = pop(ev, _MISS)
+                if prev is not _MISS:
+                    # Re-inserting a line the victim cache already
+                    # holds (refilled while the mechanism was off, or
+                    # through instruction fetch): merge the dirty bits.
+                    lru[ev] = prev or dirty
+                else:
+                    if size >= capacity:
+                        victim_line = next(iter(lru))
+                        displaced += 1
+                        if pop(victim_line):
+                            spill_idx.append(i)
+                            spill_lines.append(victim_line)
+                    else:
+                        size += 1
+                    lru[ev] = dirty
+        i += 1
+    blocks = victim._blocks
+    blocks.clear()
+    for line, dirty in lru.items():
+        blocks[line] = CacheBlock(line, dirty)
+
+    stats = victim.stats
+    stats.accesses += probes
+    stats.hits += len(hit_idx)
+    stats.misses += probes - len(hit_idx)
+    stats.evictions += displaced
+    stats.writebacks += len(spill_idx)
+    cache.stats.writebacks += promoted_only
+    sets = cache._sets
+    for ln in promoted:
+        sets[cache._set_index(ln)][ln].dirty = True
+
+    hit = np.zeros(n, dtype=bool)
+    if hit_idx:
+        hit[hit_idx] = True
+    return (
+        hit,
+        np.array(spill_idx, dtype=np.int64),
+        np.array(spill_lines, dtype=np.int64),
+        unprobed_dirty,
+    )
 
 
 def replay_shadow(cache, lines: np.ndarray, hit: np.ndarray) -> None:

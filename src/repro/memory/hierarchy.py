@@ -113,7 +113,7 @@ class MemoryHierarchy:
     def bulk_classify(
         self, addrs, writes, positions, fetch_pcs, fetch_positions
     ):
-        """Resolve a no-assist span of accesses and fetches in bulk.
+        """Resolve a span of accesses and fetches in bulk.
 
         Numpy-kernel equivalent of calling :meth:`data_access` for each
         ``(addrs[i], writes[i])`` and :meth:`inst_fetch` for each
@@ -125,29 +125,47 @@ class MemoryHierarchy:
         writeback, so L2 events are replayed sorted by ``(record,
         phase)`` with exactly that phase order.
 
-        Callers must ensure the hardware assist is disabled for the
-        whole span (gated-on segments take the scalar path).  All live
-        structures — caches, TLBs, shadow classifiers, DRAM counters,
-        ``_last_source`` — end in the same state the scalar calls would
-        leave, so scalar code can resume mid-trace afterwards.
+        The hardware assist must be disabled for the whole span, or be
+        a pair of victim caches (its ``victim_caches`` is not None);
+        bypass-enabled spans take the scalar path.  Victim caches
+        replay exactly because a victim hit promotes the line with the
+        same ``fill`` a next-level fill would do: L1D (and, one level
+        down, L2) tags and LRU order are the same as with no assist, so
+        the per-set replays stay as they are, and
+        :func:`repro.memory.bulk.filter_victims` runs each victim cache
+        as a sequential filter over that level's misses and evictions.
+        The L1 filter decides which misses reach L2 and which displaced
+        dirty lines are written back to it; the L2 filter runs after
+        the L2 replay.  All live structures — caches, victim caches,
+        TLBs, shadow classifiers, DRAM counters, ``_last_source`` — end
+        in the same state the scalar calls would leave, so scalar code
+        can resume mid-trace afterwards.
 
         Returns ``(latency, refill, stall)``:
 
         * ``latency`` — per-data-access latency in cycles (int64);
-        * ``refill`` — per-data-access refill class: 0 = L1 hit (no
-          refill bus use), 1 = L2 refill, 2 = DRAM refill (occupies an
-          MSHR);
+        * ``refill`` — per-data-access refill class: 0 = no refill bus
+          use (L1 hit or L1 victim hit), 1 = L2 refill (L2 or L2 victim
+          hit), 2 = DRAM refill (occupies an MSHR);
         * ``stall`` — per-fetch front-end stall cycles beyond an L1I
           hit (int64).
         """
         import numpy as np
 
+        from repro.memory.bulk import filter_victims
+
         machine = self.machine
         l1d, l1i, l2 = self.l1d, self.l1i, self.l2
+        assist = self.assist
+        victims = (
+            assist.victim_caches
+            if assist is not None and assist.enabled
+            else None
+        )
 
         dtlb_miss = self.dtlb.bulk_lookup(addrs >> self.dtlb._page_shift)
         d_lines = addrs >> l1d._offset_bits
-        d_hit, dm_pos, dm_lines, wb_pos, wb_lines = l1d.bulk_replay(
+        d_hit, dm_pos, dm_lines, evicted, evicted_dirty = l1d.bulk_replay(
             d_lines, writes, need_hits=l1d._classify
         )
         itlb_miss = self.itlb.bulk_lookup(
@@ -158,8 +176,28 @@ class MemoryHierarchy:
             i_lines, None, need_hits=False
         )
 
-        # Merged L2 event stream in (record, phase) order; L1I evictions
-        # are never dirty, so only the data side contributes writebacks.
+        if victims is None:
+            # Every L1D miss goes to L2 and every dirty eviction is
+            # written back; L1I evictions are never dirty.
+            wb_pos = dm_pos[evicted_dirty]
+            wb_lines = evicted[evicted_dirty]
+            vc_pos = None
+        else:
+            # The L1 victim cache filters the misses in record order:
+            # hits are served from it, the rest go to L2, and only the
+            # dirty lines it displaces are written back.
+            chrono = np.argsort(dm_pos)
+            dm_pos, dm_lines = dm_pos[chrono], dm_lines[chrono]
+            vc_hit, spill_idx, wb_lines, _ = filter_victims(
+                victims[0], l1d, dm_lines, evicted[chrono],
+                evicted_dirty[chrono],
+            )
+            wb_pos = dm_pos[spill_idx]
+            vc_pos = dm_pos[vc_hit]
+            vc_miss = ~vc_hit
+            dm_pos, dm_lines = dm_pos[vc_miss], dm_lines[vc_miss]
+
+        # Merged L2 event stream in (record, phase) order.
         shift_d = l2._offset_bits - l1d._offset_bits
         shift_i = l2._offset_bits - l1i._offset_bits
         n_im, n_dm = im_pos.size, dm_pos.size
@@ -184,43 +222,77 @@ class MemoryHierarchy:
             ev_key = ev_key.astype(np.int32)
         order = np.argsort(ev_key, kind="stable")
         ev_kind_sorted = ev_seq[order] == 2
-        ev_hit_sorted = l2.bulk_replay_events(
-            self.memory, ev_lines[order], ev_kind_sorted
-        )
-        ev_hit = np.empty(ev_pos.size, dtype=bool)
-        ev_hit[order] = ev_hit_sorted
-
-        if l1d._classify:
-            l1d.bulk_classify_shadow(d_lines, d_hit)
-        if l2._classify:
-            demand_sorted = ~ev_kind_sorted
-            l2.bulk_classify_shadow(
-                ev_lines[order][demand_sorted], ev_hit_sorted[demand_sorted]
+        ev_lines_sorted = ev_lines[order]
+        ev_hit_sorted, l2_miss, l2_evicted, l2_evicted_dirty = (
+            l2.bulk_replay_events(
+                self.memory, ev_lines_sorted, ev_kind_sorted
             )
-
+        )
+        demand_sorted = ~ev_kind_sorted
         l2_lat = machine.l2.latency
         mem_lat = machine.mem_latency + machine.block_transfer_cycles(
             machine.l2.block_size
         )
+        # Per sorted event (writeback entries are padding): served from
+        # DRAM, and the L2-path latency — L2 hit, L2 victim hit (one
+        # extra cycle, no DRAM read) or DRAM.
+        from_dram = ~ev_hit_sorted
+        l2_path = np.where(from_dram, l2_lat + mem_lat, l2_lat)
+        if victims is not None:
+            chrono = np.argsort(l2_miss)
+            l2_miss = l2_miss[chrono]
+            v2_hit, spilled, _, unprobed_dirty = filter_victims(
+                victims[1], l2, ev_lines_sorted[l2_miss],
+                l2_evicted[chrono], l2_evicted_dirty[chrono],
+                probe=ev_seq[order][l2_miss] == 1,
+            )
+            # replay_l2 counted DRAM traffic as if no assist were
+            # attached; swap in the victim-filtered counts.
+            self.memory.reads -= int(np.count_nonzero(v2_hit))
+            self.memory.writes += (
+                spilled.size
+                + unprobed_dirty
+                - int(np.count_nonzero(l2_evicted_dirty))
+            )
+            v2_idx = l2_miss[v2_hit]
+            from_dram[v2_idx] = False
+            l2_path[v2_idx] = l2_lat + 1
+
+        if l1d._classify:
+            l1d.bulk_classify_shadow(d_lines, d_hit)
+        if l2._classify:
+            l2.bulk_classify_shadow(
+                ev_lines_sorted[demand_sorted], ev_hit_sorted[demand_sorted]
+            )
 
         latency = np.full(addrs.size, self._l1d_latency, dtype=np.int64)
         latency += dtlb_miss * self._dtlb_penalty
         refill = np.zeros(addrs.size, dtype=np.int64)
+        if vc_pos is not None:
+            latency[vc_pos] += 1
+        # Back from (record, phase) order to the concatenation order:
+        # fetch misses, then data misses, then writebacks.
+        ev_path = np.empty_like(l2_path)
+        ev_path[order] = l2_path
         if n_dm:
-            dm_l2_hit = ev_hit[n_im : n_im + n_dm]
-            latency[dm_pos] += l2_lat + np.where(dm_l2_hit, 0, mem_lat)
-            refill[dm_pos] = np.where(dm_l2_hit, 1, 2)
+            ev_dram = np.empty(order.size, dtype=bool)
+            ev_dram[order] = from_dram
+            latency[dm_pos] += ev_path[n_im : n_im + n_dm]
+            refill[dm_pos] = np.where(ev_dram[n_im : n_im + n_dm], 2, 1)
 
         stall = itlb_miss * self._itlb_penalty
         if n_im:
-            im_l2_hit = ev_hit[:n_im]
-            stall[im_pos] += l2_lat + np.where(im_l2_hit, 0, mem_lat)
+            stall[im_pos] += ev_path[:n_im]
 
-        demand_idx = np.nonzero(~ev_kind_sorted)[0]
+        demand_idx = np.nonzero(demand_sorted)[0]
         if demand_idx.size:
-            self._last_source = (
-                "l2" if ev_hit_sorted[demand_idx[-1]] else "mem"
-            )
+            last = demand_idx[-1]
+            if ev_hit_sorted[last]:
+                self._last_source = "l2"
+            elif from_dram[last]:
+                self._last_source = "mem"
+            else:
+                self._last_source = "l2assist"
         return latency, refill, stall
 
     # ------------------------------------------------------------------

@@ -8,6 +8,9 @@ all three on real benchmark traces — every benchmark, base and
 selective versions, both machine configurations — and assert the
 *entire* :class:`SimulationResult` (cycles, instruction counts, memory
 snapshot) matches.  Any timing-model change must keep them in lockstep.
+Victim-cache runs additionally compare the hierarchy's end state
+(:func:`tests.cpu.test_vector_property.assert_same_state`), which
+catches divergence no result field shows.
 
 ``vectorize=True`` forces the numpy kernels even on spans below the
 ``MIN_VECTOR_SPAN`` heuristic floor, so the TINY-scale traces here
@@ -23,6 +26,7 @@ from repro.core.versions import prepare_codes
 from repro.params import base_config, higher_mem_latency
 from repro.workloads.base import TINY
 from repro.workloads.registry import all_specs, get_spec
+from tests.cpu.test_vector_property import assert_same_state
 
 ALL_BENCHMARKS = [spec.name for spec in all_specs()]
 
@@ -30,6 +34,21 @@ CONFIGS = {
     "base_machine": base_config,
     "higher_mem_latency": higher_mem_latency,
 }
+
+#: Every (benchmark, config) pair under both mechanisms; bypass cases
+#: keep the plain ``name-config`` ids.
+GATED_CASES = [
+    pytest.param(
+        name,
+        config,
+        mechanism,
+        id=f"{name}-{config_id}"
+        + ("" if mechanism == "bypass" else f"-{mechanism}"),
+    )
+    for mechanism in ("bypass", "victim")
+    for name in ALL_BENCHMARKS
+    for config_id, config in CONFIGS.items()
+]
 
 
 @pytest.fixture(scope="module")
@@ -69,18 +88,31 @@ class TestPackedEquivalence:
 
     @pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS.keys())
     @pytest.mark.parametrize("name", ALL_BENCHMARKS)
-    def test_selective_trace_gated(self, codes_by_name, name, config):
+    def test_base_trace_victim(self, codes_by_name, name, config):
+        """``pure_hw/victim``: the victim caches filter every span."""
+        _assert_equivalent(
+            codes_by_name[name].base_trace,
+            config,
+            mechanism="victim",
+            classify_misses=True,
+        )
+
+    @pytest.mark.parametrize("name, config, mechanism", GATED_CASES)
+    def test_selective_trace_gated(
+        self, codes_by_name, name, config, mechanism
+    ):
         """ON/OFF markers must toggle the gate identically in all loops."""
         _assert_equivalent(
             codes_by_name[name].selective_trace,
             config,
-            mechanism="bypass",
+            mechanism=mechanism,
             initially_on=False,
         )
 
     @pytest.mark.parametrize("mechanism", ["bypass", "victim"])
     def test_optimized_trace_with_mechanism(self, codes_by_name, mechanism):
-        """Assist always on: the vector driver must fall back everywhere."""
+        """Assist always on: bypass runs the scalar fallback on every
+        span, victim the bulk replay with its victim-cache filters."""
         _assert_equivalent(
             codes_by_name["vpenta"].optimized_trace,
             base_config,
@@ -94,4 +126,20 @@ class TestPackedEquivalence:
             base_config,
             mechanism=mechanism,
             initially_on=False,
+        )
+
+
+class TestVictimStateEquality:
+    """Vector and scalar runs leave the same hierarchy behind."""
+
+    @pytest.mark.parametrize("name", ["vpenta", "compress", "tpcd_q3"])
+    def test_base_trace(self, codes_by_name, name):
+        assert_same_state(
+            codes_by_name[name].base_trace, classify_misses=True
+        )
+
+    @pytest.mark.parametrize("name", ["vpenta", "compress", "tpcd_q3"])
+    def test_selective_trace(self, codes_by_name, name):
+        assert_same_state(
+            codes_by_name[name].selective_trace, initially_on=False
         )

@@ -183,7 +183,9 @@ def bench_packed(scale, benchmark):
     (``vectorize=False`` pins the scalar columnar loop so the numbers
     stay comparable across PRs) and the ``simulate_vectorized`` entry
     for the block-batched numpy kernels, measured on the same trace and
-    checked bit-identical against both scalar paths.
+    checked bit-identical against both scalar paths.  The vectorized
+    entry also times ``pure_hw/victim`` (the same trace with the victim
+    caches always on), scalar vs vectorized.
     """
     spec = get_spec(benchmark)
 
@@ -215,6 +217,18 @@ def bench_packed(scale, benchmark):
             machine_builder().scaled(scale.machine_divisor),
             vectorize=True,
         ),
+        "victim_scalar": lambda: simulate_trace(
+            packed_trace,
+            machine_builder().scaled(scale.machine_divisor),
+            mechanism="victim",
+            vectorize=False,
+        ),
+        "victim_vector": lambda: simulate_trace(
+            packed_trace,
+            machine_builder().scaled(scale.machine_divisor),
+            mechanism="victim",
+            vectorize=True,
+        ),
     }
     times = {name: float("inf") for name in legs}
     results = {}
@@ -225,6 +239,8 @@ def bench_packed(scale, benchmark):
     obj_result, obj_sim_s = results["obj"], times["obj"]
     packed_result, packed_sim_s = results["scalar"], times["scalar"]
     vector_result, vector_sim_s = results["vector"], times["vector"]
+    victim_scalar_s = times["victim_scalar"]
+    victim_vector_s = times["victim_vector"]
 
     packed_report = {
         "benchmark": benchmark,
@@ -252,7 +268,13 @@ def bench_packed(scale, benchmark):
         "speedup_vs_scalar": round(packed_sim_s / vector_sim_s, 3)
         if vector_sim_s
         else None,
-        "results_identical": obj_result == packed_result == vector_result,
+        "victim_scalar_seconds": round(victim_scalar_s, 3),
+        "victim_vectorized_seconds": round(victim_vector_s, 3),
+        "victim_speedup": round(victim_scalar_s / victim_vector_s, 3)
+        if victim_vector_s
+        else None,
+        "results_identical": obj_result == packed_result == vector_result
+        and results["victim_scalar"] == results["victim_vector"],
     }
     return packed_report, vector_report
 
@@ -505,7 +527,10 @@ def main(argv=None) -> int:
         f"scalar {vectorized['scalar_simulate_seconds']}s, "
         f"vectorized {vectorized['vectorized_simulate_seconds']}s "
         f"-> {vectorized['speedup_vs_objects']}x vs objects "
-        f"({vectorized['speedup_vs_scalar']}x vs scalar packed), "
+        f"({vectorized['speedup_vs_scalar']}x vs scalar packed); "
+        f"pure_hw/victim scalar {vectorized['victim_scalar_seconds']}s, "
+        f"vectorized {vectorized['victim_vectorized_seconds']}s "
+        f"-> {vectorized['victim_speedup']}x, "
         f"identical={vectorized['results_identical']}"
     )
 
