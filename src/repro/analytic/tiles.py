@@ -38,6 +38,7 @@ from repro.compiler.transforms.tiling import (
     TilingResult,
     apply_tiling,
     select_tile_size,
+    tiling_blockers,
 )
 
 __all__ = ["TileSearch", "choose_tile_size", "model_tiling"]
@@ -105,6 +106,8 @@ def choose_tile_size(
 
     scores: list[tuple[int, float]] = []
     for tile in sorted({default, *_CANDIDATES}):
+        if tiling_blockers(nest_head, l1_bytes, statements, tile):
+            continue  # apply_tiling would refuse: skip the clone
         clone = _clone_nest(nest_head)
         result = apply_tiling(clone, l1_bytes, tile_size=tile)
         if not result.applied:

@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from repro.compiler.analysis.deps import Tiling, nest_dependences
 from repro.compiler.analysis.footprint import nest_footprint_bytes
 from repro.compiler.ir.expr import AffineExpr, MaxExpr, MinExpr, var
@@ -241,22 +239,35 @@ def _has_outer_temporal_reuse(
         for ref in statement.references:
             if not isinstance(ref, AffineRef):
                 continue
-            matrix = np.array(
-                [
-                    [subscript.coefficient(v) for v in nest_vars]
-                    for subscript in ref.subscripts
-                ],
-                dtype=float,
-            )
-            rank = (
-                int(np.linalg.matrix_rank(matrix)) if matrix.size else 0
-            )
+            matrix = [
+                [subscript.coefficient(v) for v in nest_vars]
+                for subscript in ref.subscripts
+            ]
+            rank = _integer_rank(matrix)
             if rank >= depth:
                 continue  # injective: every iteration a fresh element
             if rank < depth - 1:
                 return True  # kernel too big to fit the innermost axis
             # Kernel is one-dimensional: it lies along the innermost
             # axis iff the innermost column is entirely zero.
-            if matrix.size and np.any(matrix[:, -1]):
+            if any(row[-1] for row in matrix):
                 return True
     return False
+
+
+def _integer_rank(matrix: list[list[int]]) -> int:
+    """Exact rank of a small integer matrix (fraction-free elimination)."""
+    rows = [row for row in matrix if any(row)]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((row for row in rows if row[col]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        rank += 1
+        p = pivot[col]
+        rows = [
+            [p * x - row[col] * y for x, y in zip(row, pivot)]
+            for row in rows
+        ]
+    return rank

@@ -53,16 +53,18 @@ outcome in bulk (grouping accesses by set, where LRU evolution is
 independent, and replaying each set's short sequence against the live
 ``SetAssociativeCache`` state), and a timing phase that folds the
 resulting per-access latency/provenance columns through the identical
-issue/LSQ/port/refill/MSHR recurrence.  Victim-cache segments are
-replayed in bulk too, and that is exact: a victim hit swaps the line
+issue/LSQ/port/refill/MSHR recurrence.  Assist-enabled segments are
+replayed in bulk too, and that is exact.  A victim hit swaps the line
 back into L1 with the same ``fill`` an L2 fill would do (and an L2
 victim hit does the same ``l2.fill`` as a DRAM fill), so L1 and L2 tag
 and LRU state never depend on the victim caches, which then run as
 sequential filters over each level's miss and eviction stream.
-Segments with bypassing enabled fall back to ``_run_packed_range`` on
-the same shared state: its MAT/SLDT decisions read the L1 victim
-candidate and change what L1 holds, so they interleave with the access
-stream.  The vector kernels resume mid-trace afterwards.
+Bypassing (and the stream-buffer extension) changes what L1 holds, but
+its MAT, SLDT and buffer never read L2, the TLBs, the predictor or
+time, and L2 never feeds back into them: only the L1D lookups and the
+assist's hooks run in record order, and the rest of the segment stays
+in bulk.  The vector kernels resume mid-trace after every scalar
+marker record.
 """
 
 from __future__ import annotations

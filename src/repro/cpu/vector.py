@@ -3,9 +3,8 @@
 This is the fast path behind :meth:`CPUSimulator.run` for
 :class:`PackedTrace` inputs.  It produces results bit-identical to the
 scalar loops (see the bit-identity note in :mod:`repro.cpu.pipeline`)
-by splitting the trace at HW_ON/HW_OFF markers and, for each span
-where the hardware assist is off or is a pair of victim caches,
-running two phases:
+by splitting the trace at HW_ON/HW_OFF markers and running each span
+in two phases, whether the hardware assist is off or on:
 
 1. **Replay phase** — all cache/TLB/branch-predictor outcomes for the
    span are resolved in bulk by the kernels in
@@ -23,15 +22,16 @@ running two phases:
    the events themselves run in a tight Python loop, and each event
    that zeroes the slot counter just rebases ``(base, off)``.
 
-Victim spans are exact in bulk because a victim-cache hit refills L1
-(or L2) with the same fill as the next level would: tags and LRU order
-do not depend on the victim caches, so the per-set replays stand and
-the victim caches run as filters over the miss stream (see
-``MemoryHierarchy.bulk_classify``).  Marker records and bypass-enabled
-spans, whose MAT/SLDT decisions change what L1 holds, execute through
-the scalar ``_run_packed_range`` against the same shared
-``_PackedState``, so the two execution styles alternate freely
-mid-trace.
+Assist spans are exact in bulk too (see
+``MemoryHierarchy.bulk_classify``).  A victim-cache hit refills L1 (or
+L2) with the same fill as the next level would, so the per-set replays
+stand and the victim caches run as filters over the miss stream.  An
+assist that decides L1 placement itself (bypassing, stream buffers)
+never reads L2, the TLBs or time, so only its L1 half runs in record
+order, driving the live assist's hooks; L2 and the timing stay in bulk.
+Marker records and spans under ``MIN_VECTOR_SPAN`` execute through the
+scalar ``_run_packed_range`` against the same shared ``_PackedState``,
+so the two execution styles alternate freely mid-trace.
 
 Port arbitration note: the scalar loops pick the earliest-free port
 with a linear scan.  Here the ports are a sorted ring rotated FIFO —
@@ -105,15 +105,7 @@ def _run_span(sim, state, ops, args, pcs, raw_cols, lo, hi, force):
     """Run records ``lo..hi-1`` (no markers inside) the fastest legal way."""
     if hi <= lo:
         return
-    assist = sim.hierarchy.assist
-    if (
-        assist is not None
-        and assist.enabled
-        and assist.victim_caches is None
-    ) or (hi - lo < MIN_VECTOR_SPAN and not force):
-        # Assists other than victim caches interleave with the access
-        # stream (MAT/SLDT bypass reads the L1 victim candidate and
-        # changes what L1 holds) — keep the reference semantics.
+    if hi - lo < MIN_VECTOR_SPAN and not force:
         sim._run_packed_range(state, *raw_cols, lo, hi)
         return
     _simulate_span(sim, state, ops[lo:hi], args[lo:hi], pcs[lo:hi])

@@ -4,11 +4,11 @@ Two mechanisms, both attachable to the memory hierarchy through
 :class:`repro.memory.assist.AssistInterface` and both gateable by the
 compiler-inserted activate/deactivate (ON/OFF) instructions:
 
-* :class:`CacheBypassAssist` — Johnson & Hwu's selective variable-size
-  caching: a Memory Access Table (MAT) tracks per-macro-block access
-  frequencies, a Spatial Locality Detection Table (SLDT) detects spatial
-  reuse, and rarely-accessed data is diverted into a small fully
-  associative bypass buffer instead of polluting L1.
+* :class:`CacheBypassAssist` — Johnson & Hwu's selective caching: a
+  Memory Access Table (MAT) tracks per-macro-block access frequencies,
+  a Spatial Locality Detection Table (SLDT) detects spatial reuse, and
+  rarely-accessed data is diverted into a small fully associative
+  bypass buffer instead of polluting L1.
 * :class:`VictimCacheAssist` — Jouppi-style victim caches on L1 and L2.
 
 :mod:`repro.hwopt.policy` adds a *model-driven* gating policy: per-region

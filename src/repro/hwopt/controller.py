@@ -2,9 +2,9 @@
 
 :class:`CacheBypassAssist` implements Johnson & Hwu's run-time adaptive
 selective caching (paper Section 3.1): MAT frequency tracking, SLDT
-spatial-locality detection, variable-size fetches, and a double-word
-bypass buffer.  :class:`VictimCacheAssist` implements Jouppi victim
-caches at L1 and L2.  Either one attaches to
+spatial-locality detection and a double-word bypass buffer.
+:class:`VictimCacheAssist` implements Jouppi victim caches at L1 and
+L2.  Either one attaches to
 :class:`repro.memory.hierarchy.MemoryHierarchy` and is switched on/off
 at region boundaries by the activate/deactivate instructions.
 """
@@ -23,12 +23,12 @@ from repro.params import MachineParams
 
 __all__ = ["CacheBypassAssist", "VictimCacheAssist"]
 
-_CACHE_NORMALLY = FillDecision(cache_in_l1=True, extra_blocks=0)
-_BYPASS = FillDecision(cache_in_l1=False, extra_blocks=0)
+_CACHE_NORMALLY = FillDecision(cache_in_l1=True)
+_BYPASS = FillDecision(cache_in_l1=False)
 
 
 class CacheBypassAssist(AssistInterface):
-    """Selective variable-size caching via MAT + SLDT + bypass buffer.
+    """Selective caching via MAT + SLDT + bypass buffer.
 
     Decision rule on an L1 miss (Section 3.1 / [8, 9]):
 
@@ -37,10 +37,10 @@ class CacheBypassAssist(AssistInterface):
        not itself part of a detected stream, the incoming line is
        bypassed: L1 keeps the more valuable resident line and the
        demanded data goes to the double-word bypass buffer.
-    2. A bypassed fill whose own macro-block shows spatial locality
-       (SLDT) uses a variable-size fetch — one extra sequential line's
-       words stream into the buffer, so a bypassed stream still gets
-       its spatial reuse served without polluting L1.
+    2. An incoming line whose own macro-block shows spatial locality
+       (SLDT) is never bypassed: the double-word buffer would forfeit
+       its near-term reuse.  So only the demanded double word of a
+       non-spatial line ever enters the buffer.
     3. Otherwise the line is cached normally.
     """
 
@@ -55,7 +55,6 @@ class CacheBypassAssist(AssistInterface):
         self._line_size = machine.l1d.block_size
         self._hits = 0
         self._bypassed = 0
-        self._prefetched = 0
 
     # -- AssistInterface ------------------------------------------------
 
@@ -106,19 +105,9 @@ class CacheBypassAssist(AssistInterface):
     def accept_bypassed(
         self, addr: int, block: CacheBlock
     ) -> Optional[CacheBlock]:
-        """Variable-size buffer fill: a dword, or the line if spatial."""
+        """Buffer the demanded double word of a bypassed line."""
         self._bypassed += 1
-        displaced_dirty: Optional[int] = None
-        if self.sldt.expects_spatial(addr):
-            line_start = (addr // self._line_size) * self._line_size
-            for offset in range(0, self._line_size, 8):
-                word_addr = line_start + offset
-                dirty = block.dirty and word_addr == (addr & ~7)
-                displaced = self.buffer.insert(word_addr, dirty)
-                if displaced is not None:
-                    displaced_dirty = displaced
-        else:
-            displaced_dirty = self.buffer.insert(addr, block.dirty)
+        displaced_dirty = self.buffer.insert(addr, block.dirty)
         if displaced_dirty is None:
             return None
         # A dirty double word leaves the buffer: hand the hierarchy a
@@ -134,9 +123,6 @@ class CacheBypassAssist(AssistInterface):
     def on_l2_evict(self, block: CacheBlock) -> Optional[CacheBlock]:
         return block
 
-    def count_prefetch(self) -> None:
-        self._prefetched += 1
-
     # -- counters --------------------------------------------------------
 
     @property
@@ -146,10 +132,6 @@ class CacheBypassAssist(AssistInterface):
     @property
     def bypassed_fills(self) -> int:
         return self._bypassed
-
-    @property
-    def prefetched_blocks(self) -> int:
-        return self._prefetched
 
     @property
     def occupancy(self) -> int:
@@ -210,9 +192,6 @@ class VictimCacheAssist(AssistInterface):
     def on_l2_evict(self, block: CacheBlock) -> Optional[CacheBlock]:
         return self.l2_victim.insert(block)
 
-    def count_prefetch(self) -> None:
-        pass  # victim caches never prefetch
-
     @property
     def victim_caches(self) -> tuple[VictimCache, VictimCache]:
         return self.l1_victim, self.l2_victim
@@ -225,10 +204,6 @@ class VictimCacheAssist(AssistInterface):
 
     @property
     def bypassed_fills(self) -> int:
-        return 0
-
-    @property
-    def prefetched_blocks(self) -> int:
         return 0
 
     @property

@@ -23,7 +23,7 @@ from repro.params import MachineParams
 
 __all__ = ["StreamBufferAssist"]
 
-_CACHE_NORMALLY = FillDecision(cache_in_l1=True, extra_blocks=0)
+_CACHE_NORMALLY = FillDecision(cache_in_l1=True)
 
 
 class _StreamBuffer:
@@ -118,9 +118,6 @@ class StreamBufferAssist(AssistInterface):
 
     def on_l2_evict(self, block: CacheBlock) -> Optional[CacheBlock]:
         return block
-
-    def count_prefetch(self) -> None:
-        self._prefetched += 1
 
     # -- counters --------------------------------------------------------
 

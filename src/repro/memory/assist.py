@@ -21,7 +21,7 @@ from typing import Optional
 from repro.memory.block import CacheBlock
 from repro.memory.victim import VictimCache
 
-__all__ = ["FillDecision", "AssistInterface", "ServeResult", "DEFAULT_FILL"]
+__all__ = ["FillDecision", "AssistInterface", "ServeResult"]
 
 
 @dataclass(frozen=True)
@@ -31,17 +31,10 @@ class FillDecision:
     Attributes:
         cache_in_l1: Install in L1 normally (True) or divert to the
             assist's own buffer (False — a bypassed fill).
-        extra_blocks: Number of sequentially-next lines to fetch in the
-            same transaction (SLDT-driven variable-size fetch; 0 = just
-            the demanded line).
     """
 
     cache_in_l1: bool = True
-    extra_blocks: int = 0
 
-
-#: Decision used when no assist is attached or the assist is disabled.
-DEFAULT_FILL = FillDecision()
 
 #: ``lookup_alternate`` outcome: (extra latency in cycles, block to
 #: promote into L1 — None when the data is served in place, as from the
@@ -77,7 +70,7 @@ class AssistInterface(abc.ABC):
     def fill_decision(
         self, addr: int, victim_line: Optional[int]
     ) -> FillDecision:
-        """Decide placement and fetch size for a line fetched after a miss.
+        """Decide whether a line fetched after a miss is installed in L1.
 
         ``victim_line`` is the L1 line that a normal fill would displace
         (None if the set has a free way) — the Johnson & Hwu rule bypasses
@@ -112,19 +105,18 @@ class AssistInterface(abc.ABC):
     def on_l2_evict(self, block: CacheBlock) -> Optional[CacheBlock]:
         """Observe an L2 eviction (L2 victim cache capture)."""
 
-    @abc.abstractmethod
-    def count_prefetch(self) -> None:
-        """Record one extra line fetched by a variable-size fetch."""
-
     @property
     def victim_caches(self) -> Optional[tuple[VictimCache, VictimCache]]:
         """The ``(L1, L2)`` victim caches, if that is all the assist is.
 
-        Such an assist's spans can be replayed in bulk (see
-        :meth:`repro.memory.hierarchy.MemoryHierarchy.bulk_classify`):
-        it never changes which lines L1 or L2 hold, or their LRU order,
-        only where a miss is served from.  None (the default) keeps
-        enabled spans on the scalar path.
+        Such an assist never changes which lines L1 or L2 hold, or their
+        LRU order, only where a miss is served from, so its spans are
+        replayed per set with the victim caches as miss-stream filters
+        (see :meth:`repro.memory.hierarchy.MemoryHierarchy.bulk_classify`).
+        None (the default) replays the L1 side in record order with the
+        assist's hooks; such an assist must leave evictions and L2 to
+        the hierarchy (``on_l1_evict``/``on_l2_evict`` return the block,
+        ``lookup_l2_alternate`` returns None).
         """
         return None
 
@@ -142,9 +134,9 @@ class AssistInterface(abc.ABC):
         """Fills diverted away from L1."""
 
     @property
-    @abc.abstractmethod
     def prefetched_blocks(self) -> int:
-        """Extra lines fetched by variable-size fetches."""
+        """Lines fetched ahead of demand (stream buffers; 0 by default)."""
+        return 0
 
     @property
     def occupancy(self) -> int:

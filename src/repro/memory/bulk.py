@@ -47,6 +47,15 @@ The key decompositions, each exact rather than approximate:
   :func:`filter_victims` runs the live victim cache over those misses
   in order, settling victim hits, dirty bits and writebacks.
 
+* **A record-order L1 filter for placement-deciding assists.**
+  Bypassing decides on each L1 miss whether the line is installed, so
+  L1 no longer factorises over sets.  But the MAT, the SLDT and the
+  bypass buffer never read L2 or the TLBs, and L2 never feeds back
+  into them, so :func:`filter_assist` runs only the L1D lookups and
+  fills in record order, calling the live assist's own hooks; L2 and
+  the TLBs are still replayed per set from the misses and writebacks
+  it emits.
+
 Latency never feeds back into any of these structures, which is what
 makes the phase split legal — see the bit-identity note in
 :mod:`repro.cpu.pipeline`.
@@ -55,7 +64,7 @@ makes the phase split legal — see the bit-identity note in
 from __future__ import annotations
 
 from array import array
-from itertools import repeat
+from itertools import count, repeat
 
 import numpy as np
 
@@ -66,6 +75,7 @@ __all__ = [
     "replay_cache",
     "replay_l2",
     "filter_victims",
+    "filter_assist",
     "replay_shadow",
 ]
 
@@ -83,6 +93,10 @@ _FAST_PATH_MIN = 64
 #: out: a working set larger than any real associativity shows up
 #: within a few distinct lines.
 _FAST_PROBE = 96
+
+#: Accesses converted to Python ints at a time by :func:`filter_assist`,
+#: so a long span never holds whole-span lists.
+_CHUNK = 4096
 
 
 def _set_order(sets: np.ndarray, num_sets: int):
@@ -791,6 +805,111 @@ def filter_victims(
         np.array(spill_idx, dtype=np.int64),
         np.array(spill_lines, dtype=np.int64),
         unprobed_dirty,
+    )
+
+
+def filter_assist(assist, cache, addrs: np.ndarray, writes: np.ndarray):
+    """Run the L1 half of ``data_access`` in record order with a live assist.
+
+    For an assist without victim caches (bypassing, stream buffers),
+    whose L1 eviction and L2-side hooks are pass-throughs.  Such an
+    assist never reads L2, the TLBs or simulated time, and L2 never
+    feeds back into L1 or the assist, so only the L1 lookup, the
+    assist's hooks and the L1 fill need the access order; the caller
+    replays L2 in bulk afterwards.  Per access, as the scalar
+    ``data_access`` does: look up L1; on a miss, ``note_access``,
+    ``lookup_alternate`` (a hit is served by the assist, installing
+    any promoted block), else ``fill_decision`` against the line a fill
+    would evict, then the fill or ``accept_bypassed``.
+
+    L1 hits call only ``note_access``, and nothing reads what it
+    records before the next miss's hooks, so the notes of a run of hits
+    are made in a batch just before that miss (and at the end of each
+    chunk).
+
+    Mutates the live L1 sets and statistics and the assist.  Returns
+    ``(miss, demand, served, served_latency, wb_idx, wb_lines)`` as
+    int64 arrays, each in access order: the L1 misses; the misses that
+    go to the next level; the misses the assist served and their extra
+    latency; and the writebacks (L1 dirty evictions and dirty lines the
+    assist displaced) with the access that caused each.
+    """
+    n = addrs.size
+    shift = cache._offset_bits
+    num_sets = cache._num_sets
+    assoc = cache._assoc
+    cache_sets = cache._sets
+    # Working LRU per set: line -> dirty flag, insertion order = LRU
+    # order (as in replay_cache); written back to the live sets at the end.
+    lrus = [{ln: blk.dirty for ln, blk in od.items()} for od in cache_sets]
+    note = assist.note_access
+    lookup_alternate = assist.lookup_alternate
+    fill_decision = assist.fill_decision
+    accept_bypassed = assist.accept_bypassed
+    miss, demand = array("q"), array("q")
+    served, served_latency = array("q"), array("q")
+    wb_idx, wb_lines = array("q"), array("q")
+    miss_append, demand_append = miss.append, demand.append
+    evictions = dirty_evictions = 0
+    for base in range(0, n, _CHUNK):
+        addr_list = addrs[base : base + _CHUNK].tolist()
+        write_list = writes[base : base + _CHUNK].tolist()
+        noted = 0  # chunk offset of the first access not yet noted
+        for k, addr, w in zip(count(), addr_list, write_list):
+            ln = addr >> shift
+            lru = lrus[ln % num_sets]
+            prev = lru.pop(ln, _MISS)
+            if prev is not _MISS:
+                lru[ln] = prev or w
+                continue
+            if noted < k:
+                for a, wr in zip(addr_list[noted:k], write_list[noted:k]):
+                    note(a, wr, True)
+            note(addr, w, False)
+            noted = k + 1
+            i = base + k
+            miss_append(i)
+            hit = lookup_alternate(addr, ln, w)
+            if hit is not None:
+                extra, promoted = hit
+                served.append(i)
+                served_latency.append(extra)
+                if promoted is None:  # served in place, L1 untouched
+                    continue
+                w = promoted.dirty or w
+            else:
+                demand_append(i)
+                victim = next(iter(lru)) if len(lru) >= assoc else None
+                if not fill_decision(addr, victim).cache_in_l1:
+                    displaced = accept_bypassed(addr, CacheBlock(ln, w))
+                    if displaced is not None and displaced.dirty:
+                        wb_idx.append(i)
+                        wb_lines.append(displaced.block_addr)
+                    continue
+            if len(lru) >= assoc:
+                victim = next(iter(lru))
+                evictions += 1
+                if lru.pop(victim):
+                    dirty_evictions += 1
+                    wb_idx.append(i)
+                    wb_lines.append(victim)
+            lru[ln] = w
+        for a, wr in zip(addr_list[noted:], write_list[noted:]):
+            note(a, wr, True)
+    for od, lru in zip(cache_sets, lrus):
+        od.clear()
+        for ln, dirty in lru.items():
+            od[ln] = CacheBlock(ln, dirty)
+
+    stats = cache.stats
+    stats.accesses += n
+    stats.hits += n - len(miss)
+    stats.misses += len(miss)
+    stats.evictions += evictions
+    stats.writebacks += dirty_evictions
+    return tuple(
+        np.frombuffer(col, dtype=np.int64) if col else _EMPTY_I64
+        for col in (miss, demand, served, served_latency, wb_idx, wb_lines)
     )
 
 

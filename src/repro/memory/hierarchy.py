@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from repro.memory.assist import DEFAULT_FILL, AssistInterface
+from repro.memory.assist import AssistInterface
 from repro.memory.block import CacheBlock
 from repro.memory.cache import SetAssociativeCache
 from repro.memory.dram import MainMemory
@@ -59,10 +59,6 @@ class MemoryHierarchy:
         self._itlb_penalty = machine.itlb.miss_penalty
         self._l1d_latency = machine.l1d.latency
         self._l1i_latency = machine.l1i.latency
-        # Cycles of L1-fill bus occupancy per extra prefetched line.
-        self._l1_beats = max(
-            machine.l1d.block_size // machine.mem_bus_width, 1
-        )
 
     # ------------------------------------------------------------------
     # public access paths
@@ -125,49 +121,51 @@ class MemoryHierarchy:
         writeback, so L2 events are replayed sorted by ``(record,
         phase)`` with exactly that phase order.
 
-        The hardware assist must be disabled for the whole span, or be
-        a pair of victim caches (its ``victim_caches`` is not None);
-        bypass-enabled spans take the scalar path.  Victim caches
-        replay exactly because a victim hit promotes the line with the
-        same ``fill`` a next-level fill would do: L1D (and, one level
-        down, L2) tags and LRU order are the same as with no assist, so
-        the per-set replays stay as they are, and
+        The hardware assist's state (on or off) must hold for the whole
+        span.  With no assist the L1D stream is replayed per set.
+        Victim caches (``victim_caches`` is not None) replay exactly
+        because a victim hit promotes the line with the same ``fill`` a
+        next-level fill would do: L1D (and, one level down, L2) tags and
+        LRU order are the same as with no assist, so the per-set
+        replays stay as they are, and
         :func:`repro.memory.bulk.filter_victims` runs each victim cache
         as a sequential filter over that level's misses and evictions.
         The L1 filter decides which misses reach L2 and which displaced
         dirty lines are written back to it; the L2 filter runs after
-        the L2 replay.  All live structures — caches, victim caches,
-        TLBs, shadow classifiers, DRAM counters, ``_last_source`` — end
-        in the same state the scalar calls would leave, so scalar code
-        can resume mid-trace afterwards.
+        the L2 replay.  Any other assist (bypassing, stream buffers)
+        decides L1 placement itself, so
+        :func:`repro.memory.bulk.filter_assist` runs the L1D half of
+        :meth:`data_access` in record order against the live assist;
+        such an assist must leave evictions and L2 to the hierarchy
+        (its ``on_l1_evict``/``on_l2_evict`` return the block and its
+        ``lookup_l2_alternate`` returns None), which is what lets L2 be
+        replayed in bulk from the demand misses and writebacks it
+        emits.  All live structures — caches, assists, TLBs, shadow
+        classifiers, DRAM counters, ``_last_source`` — end in the same
+        state the scalar calls would leave, so scalar code can resume
+        mid-trace afterwards.
 
         Returns ``(latency, refill, stall)``:
 
         * ``latency`` — per-data-access latency in cycles (int64);
         * ``refill`` — per-data-access refill class: 0 = no refill bus
-          use (L1 hit or L1 victim hit), 1 = L2 refill (L2 or L2 victim
-          hit), 2 = DRAM refill (occupies an MSHR);
+          use (L1 hit, or a miss the assist served: L1 victim hit,
+          bypass-buffer hit, stream-buffer hit), 1 = L2 refill (L2 or
+          L2 victim hit), 2 = DRAM refill (occupies an MSHR);
         * ``stall`` — per-fetch front-end stall cycles beyond an L1I
           hit (int64).
         """
         import numpy as np
 
-        from repro.memory.bulk import filter_victims
+        from repro.memory.bulk import filter_assist, filter_victims
 
         machine = self.machine
         l1d, l1i, l2 = self.l1d, self.l1i, self.l2
-        assist = self.assist
-        victims = (
-            assist.victim_caches
-            if assist is not None and assist.enabled
-            else None
-        )
+        assist = self.assist if self.assist and self.assist.enabled else None
+        victims = assist.victim_caches if assist else None
 
         dtlb_miss = self.dtlb.bulk_lookup(addrs >> self.dtlb._page_shift)
         d_lines = addrs >> l1d._offset_bits
-        d_hit, dm_pos, dm_lines, evicted, evicted_dirty = l1d.bulk_replay(
-            d_lines, writes, need_hits=l1d._classify
-        )
         itlb_miss = self.itlb.bulk_lookup(
             fetch_pcs >> self.itlb._page_shift
         )
@@ -176,26 +174,44 @@ class MemoryHierarchy:
             i_lines, None, need_hits=False
         )
 
-        if victims is None:
-            # Every L1D miss goes to L2 and every dirty eviction is
-            # written back; L1I evictions are never dirty.
-            wb_pos = dm_pos[evicted_dirty]
-            wb_lines = evicted[evicted_dirty]
-            vc_pos = None
-        else:
-            # The L1 victim cache filters the misses in record order:
-            # hits are served from it, the rest go to L2, and only the
-            # dirty lines it displaces are written back.
-            chrono = np.argsort(dm_pos)
-            dm_pos, dm_lines = dm_pos[chrono], dm_lines[chrono]
-            vc_hit, spill_idx, wb_lines, _ = filter_victims(
-                victims[0], l1d, dm_lines, evicted[chrono],
-                evicted_dirty[chrono],
+        # Per data access: the L1D misses that go to L2 (dm_*), the L1D
+        # writebacks (wb_*), and the misses the assist served in place
+        # of L2 with their extra latency (served_*).
+        served_pos = None
+        if assist is not None and victims is None:
+            # The assist decides L1 placement itself: its hooks run
+            # with the L1D lookups and fills in record order.
+            d_miss, dm_pos, served_pos, served_extra, wb_pos, wb_lines = (
+                filter_assist(assist, l1d, addrs, writes)
             )
-            wb_pos = dm_pos[spill_idx]
-            vc_pos = dm_pos[vc_hit]
-            vc_miss = ~vc_hit
-            dm_pos, dm_lines = dm_pos[vc_miss], dm_lines[vc_miss]
+            dm_lines = d_lines[dm_pos]
+            if l1d._classify:
+                d_hit = np.ones(addrs.size, dtype=bool)
+                d_hit[d_miss] = False
+        else:
+            d_hit, dm_pos, dm_lines, evicted, evicted_dirty = l1d.bulk_replay(
+                d_lines, writes, need_hits=l1d._classify
+            )
+            if victims is None:
+                # Every L1D miss goes to L2 and every dirty eviction is
+                # written back; L1I evictions are never dirty.
+                wb_pos = dm_pos[evicted_dirty]
+                wb_lines = evicted[evicted_dirty]
+            else:
+                # The L1 victim cache filters the misses in record
+                # order: hits are served from it, the rest go to L2,
+                # and only the dirty lines it displaces are written
+                # back.
+                chrono = np.argsort(dm_pos)
+                dm_pos, dm_lines = dm_pos[chrono], dm_lines[chrono]
+                vc_hit, spill_idx, wb_lines, _ = filter_victims(
+                    victims[0], l1d, dm_lines, evicted[chrono],
+                    evicted_dirty[chrono],
+                )
+                wb_pos = dm_pos[spill_idx]
+                served_pos, served_extra = dm_pos[vc_hit], 1
+                vc_miss = ~vc_hit
+                dm_pos, dm_lines = dm_pos[vc_miss], dm_lines[vc_miss]
 
         # Merged L2 event stream in (record, phase) order.
         shift_d = l2._offset_bits - l1d._offset_bits
@@ -268,8 +284,8 @@ class MemoryHierarchy:
         latency = np.full(addrs.size, self._l1d_latency, dtype=np.int64)
         latency += dtlb_miss * self._dtlb_penalty
         refill = np.zeros(addrs.size, dtype=np.int64)
-        if vc_pos is not None:
-            latency[vc_pos] += 1
+        if served_pos is not None:
+            latency[served_pos] += served_extra
         # Back from (record, phase) order to the concatenation order:
         # fetch misses, then data misses, then writebacks.
         ev_path = np.empty_like(l2_path)
@@ -303,22 +319,18 @@ class MemoryHierarchy:
     ) -> int:
         """Bring the line for ``addr`` from L2/memory; place per assist."""
         latency = self._access_l2(addr, assist)
-        if assist:
-            victim_line = self.l1d.victim_candidate(addr)
-            decision = assist.fill_decision(addr, victim_line)
-        else:
-            decision = DEFAULT_FILL
-        line = self.l1d.line_of(addr)
-        if decision.cache_in_l1:
+        if (
+            assist is None
+            or assist.fill_decision(
+                addr, self.l1d.victim_candidate(addr)
+            ).cache_in_l1
+        ):
             self._install_l1(addr, is_write, assist)
         else:
+            line = self.l1d.line_of(addr)
             displaced = assist.accept_bypassed(addr, CacheBlock(line, is_write))
             if displaced is not None and displaced.dirty:
                 self._writeback_to_l2(displaced, self.machine.l1d.block_size)
-        if assist and decision.extra_blocks > 0:
-            latency += self._prefetch_extra(
-                line, decision.extra_blocks, decision.cache_in_l1, assist
-            )
         return latency
 
     def _access_l2(self, addr: int, assist: Optional[AssistInterface]) -> int:
@@ -369,37 +381,6 @@ class MemoryHierarchy:
             self.l2.fill(byte_addr, dirty=True)
         else:
             self.memory.write_block(block_size)
-
-    def _prefetch_extra(
-        self,
-        line: int,
-        count: int,
-        cache_in_l1: bool,
-        assist: AssistInterface,
-    ) -> int:
-        """Stream ``count`` sequentially-next lines (SLDT larger fetch).
-
-        Each extra line costs its bus beats; lines already resident are
-        skipped at no cost.  Prefetched lines do not recurse into L2
-        statistics — they ride the same L2/memory transaction.
-        """
-        latency = 0
-        block_size = self.machine.l1d.block_size
-        for i in range(1, count + 1):
-            next_addr = (line + i) * block_size
-            if self.l1d.probe(next_addr):
-                continue
-            latency += self._l1_beats
-            assist.count_prefetch()
-            if cache_in_l1:
-                self._install_l1(next_addr, False, assist)
-            else:
-                displaced = assist.accept_bypassed(
-                    next_addr, CacheBlock(line + i, False)
-                )
-                if displaced is not None and displaced.dirty:
-                    self._writeback_to_l2(displaced, block_size)
-        return latency
 
     # ------------------------------------------------------------------
     # statistics

@@ -121,7 +121,7 @@ class BypassParams:
     The bypass buffer is a small fully-associative cache holding
     ``buffer_words`` double words; the MAT tracks access frequency per
     ``macro_block_size``-byte macro-block with ``mat_entries`` entries;
-    the SLDT detects spatial locality to pick larger fetch sizes.
+    the SLDT detects spatial locality, which keeps a line cacheable.
     """
 
     buffer_words: int = 64  # double words (8 bytes each)

@@ -8,8 +8,8 @@ all three on real benchmark traces — every benchmark, base and
 selective versions, both machine configurations — and assert the
 *entire* :class:`SimulationResult` (cycles, instruction counts, memory
 snapshot) matches.  Any timing-model change must keep them in lockstep.
-Victim-cache runs additionally compare the hierarchy's end state
-(:func:`tests.cpu.test_vector_property.assert_same_state`), which
+Victim-cache and bypass runs additionally compare the hierarchy's end
+state (:func:`tests.cpu.test_vector_property.assert_same_state`), which
 catches divergence no result field shows.
 
 ``vectorize=True`` forces the numpy kernels even on spans below the
@@ -97,6 +97,19 @@ class TestPackedEquivalence:
             classify_misses=True,
         )
 
+    @pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS.keys())
+    @pytest.mark.parametrize("name", ALL_BENCHMARKS)
+    def test_base_trace_prefetch(self, codes_by_name, name, config):
+        """``pure_hw`` with stream buffers: an assist that promotes its
+        hits into L1 runs through the same record-order L1 filter as
+        bypassing."""
+        _assert_equivalent(
+            codes_by_name[name].base_trace,
+            config,
+            mechanism="prefetch",
+            classify_misses=True,
+        )
+
     @pytest.mark.parametrize("name, config, mechanism", GATED_CASES)
     def test_selective_trace_gated(
         self, codes_by_name, name, config, mechanism
@@ -111,8 +124,8 @@ class TestPackedEquivalence:
 
     @pytest.mark.parametrize("mechanism", ["bypass", "victim"])
     def test_optimized_trace_with_mechanism(self, codes_by_name, mechanism):
-        """Assist always on: bypass runs the scalar fallback on every
-        span, victim the bulk replay with its victim-cache filters."""
+        """Assist always on: bypass runs the bulk replay with its
+        record-order L1 filter, victim with its victim-cache filters."""
         _assert_equivalent(
             codes_by_name["vpenta"].optimized_trace,
             base_config,
@@ -142,4 +155,24 @@ class TestVictimStateEquality:
     def test_selective_trace(self, codes_by_name, name):
         assert_same_state(
             codes_by_name[name].selective_trace, initially_on=False
+        )
+
+
+class TestBypassStateEquality:
+    """Vector and scalar runs leave the same MAT, SLDT and buffer."""
+
+    @pytest.mark.parametrize("name", ["vpenta", "compress", "tpcd_q3"])
+    def test_base_trace(self, codes_by_name, name):
+        assert_same_state(
+            codes_by_name[name].base_trace,
+            mechanism="bypass",
+            classify_misses=True,
+        )
+
+    @pytest.mark.parametrize("name", ["vpenta", "compress", "tpcd_q3"])
+    def test_selective_trace(self, codes_by_name, name):
+        assert_same_state(
+            codes_by_name[name].selective_trace,
+            mechanism="bypass",
+            initially_on=False,
         )

@@ -2,17 +2,20 @@
 
 Random packed traces — mixed opcodes, compressed ALU bursts, gate
 toggles mid-trace, miss storms sized to saturate the MSHR file and
-the load/store queue, and write-heavy conflict storms that overflow the
-victim caches — must produce bit-identical results through all three
-execution paths (object reference loop, scalar packed loop,
-block-batched numpy kernels).  Hypothesis shrinks any divergence down
-to a minimal instruction sequence, which makes timing-model regressions
-far easier to localise than a benchmark-level mismatch.
+the load/store queue, write-heavy conflict storms that overflow the
+victim caches, and buffer storms that bypass lines into the bypass
+buffer, hit them there and displace dirty double words — must produce
+bit-identical results through all three execution paths (object
+reference loop, scalar packed loop, block-batched numpy kernels).
+Hypothesis shrinks any divergence down to a minimal instruction
+sequence, which makes timing-model regressions far easier to localise
+than a benchmark-level mismatch.
 
-Victim-cache runs also compare the machine state the results cannot
-show (:func:`machine_state`): a dirty bit that is never written back,
-or a victim cache left in the wrong order, would only surface in a
-later span.
+Victim-cache and bypass runs also compare the machine state the
+results cannot show (:func:`machine_state`): a dirty bit that is never
+written back, a victim cache or bypass buffer left in the wrong order,
+or a MAT counter noted out of turn, would only surface in a later
+span.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from repro.core.experiment import simulate_trace
 from repro.core.versions import make_assist
 from repro.cpu.pipeline import CPUSimulator
 from repro.cpu.vector import MIN_VECTOR_SPAN
+from repro.hwopt.controller import VictimCacheAssist
 from repro.hwopt.gate import HardwareGate
 from repro.isa.instructions import Opcode
 from repro.isa.packed import PackedTrace
@@ -51,6 +55,10 @@ _STORM_STRIDE = 4096
 #: turn dirty on writeback; 16 KB walks one L2 set (128 sets of 128 B),
 #: pushing lines through L2 into its 64-entry victim cache and out.
 _CONFLICT_STRIDES = (1024, 16384)
+
+#: Buffer storms use an address range of their own.  Lines 1 KB
+#: apart share an L1D set and lie in different 1 KB MAT macro-blocks.
+_BUFFER_STORM_BASE = 0x200000
 
 
 @st.composite
@@ -84,6 +92,7 @@ def packed_traces(draw):
                     "toggle",
                     "conflict_storm",
                     "code_alias",
+                    "buffer_storm",
                 ]
             )
         )
@@ -137,6 +146,24 @@ def packed_traces(draw):
             for _ in range(draw(st.integers(min_value=4, max_value=40))):
                 emit(_ALU, 1)
             conflict_storm(target + 9 * 16384, 16384, 8, 1, 50)
+        elif kind == "buffer_storm":
+            # A hot macro-block's line becomes the LRU way of a full
+            # L1D set; cold lines of fresh macro-blocks, each touched at
+            # one double word (so the SLDT never finds them spatial),
+            # then miss in that set and are bypassed into the buffer.
+            # Re-touching a bypassed double word hits the buffer (a
+            # store dirties it), and more cold lines than the buffer
+            # holds displace dirty double words, which are written back.
+            hot = _BUFFER_STORM_BASE + draw(st.integers(0, 31)) * 32
+            for _ in range(draw(st.integers(min_value=8, max_value=24))):
+                emit(_LOAD, hot)
+            for j in range(1, 4):
+                emit(_LOAD, hot + j * 1024)
+            for j in range(draw(st.integers(min_value=2, max_value=40))):
+                cold = hot + (4 + j) * 1024 + 8 * draw(st.integers(0, 3))
+                emit(_STORE if draw(st.booleans()) else _LOAD, cold)
+                if draw(st.booleans()):
+                    emit(_STORE if draw(st.booleans()) else _LOAD, cold)
         else:  # toggle: keep ON/OFF alternating like real marker placement
             emit(_HW_OFF if gate_on else _HW_ON, 0)
             gate_on = not gate_on
@@ -179,16 +206,46 @@ def _victim_state(victim):
     return blocks, victim.stats
 
 
-def machine_state(trace, vectorize, initially_on=True, **kwargs):
-    """Run ``trace`` with victim caches; return the result and end state.
+def _assist_state(assist):
+    """The mechanism's own storage, in order, with its counters."""
+    if isinstance(assist, VictimCacheAssist):
+        return {
+            "l1_victim": _victim_state(assist.l1_victim),
+            "l2_victim": _victim_state(assist.l2_victim),
+        }
+    mat, sldt, buffer = assist.mat, assist.sldt, assist.buffer
+    return {
+        "mat": (mat._tags, mat._counters, mat._since_aging, mat.replacements),
+        "sldt": (
+            list(sldt._table.items()),
+            sldt._spatial,
+            sldt.spatial_promotions,
+            sldt.spatial_demotions,
+        ),
+        "buffer": (
+            list(buffer._words.items()),
+            buffer.hits,
+            buffer.misses,
+            buffer.insertions,
+        ),
+    }
+
+
+def machine_state(
+    trace, vectorize, mechanism="victim", initially_on=True, **kwargs
+):
+    """Run ``trace`` with an assist; return the result and end state.
 
     The state covers what :class:`SimulationResult` equality cannot
-    see: per-set LRU order and dirty bits of L1D and L2, the contents,
-    order, dirty bits and statistics of both victim caches, the DRAM
-    counters and ``_last_source``.
+    see: per-set LRU order and dirty bits of L1D and L2, the DRAM
+    counters, ``_last_source`` and the assist's own state — for victim
+    caches both caches' contents, order, dirty bits and statistics; for
+    bypassing the MAT tags, counters and aging phase, the SLDT's LRU
+    order, touched-word masks and spatial counters, and the bypass
+    buffer's order, dirty bits and statistics.
     """
     machine = base_config().scaled(TINY.machine_divisor)
-    assist = make_assist("victim", machine)
+    assist = make_assist(mechanism, machine)
     hierarchy = MemoryHierarchy(machine, assist, **kwargs)
     simulator = CPUSimulator(
         machine,
@@ -200,10 +257,9 @@ def machine_state(trace, vectorize, initially_on=True, **kwargs):
     state = {
         "l1d": _cache_state(hierarchy.l1d),
         "l2": _cache_state(hierarchy.l2),
-        "l1_victim": _victim_state(assist.l1_victim),
-        "l2_victim": _victim_state(assist.l2_victim),
         "dram": (hierarchy.memory.reads, hierarchy.memory.writes),
         "last_source": hierarchy._last_source,
+        **_assist_state(assist),
     }
     return result, state
 
@@ -226,12 +282,11 @@ class TestVectorProperty:
     @settings(max_examples=80, deadline=None)
     @given(
         trace=packed_traces(),
-        mechanism=st.sampled_from(["bypass", "victim"]),
+        mechanism=st.sampled_from(["bypass", "victim", "prefetch"]),
     )
     def test_gated_assist(self, trace, mechanism):
         """Toggles enable the assist: vector spans must interleave with
-        assist-on spans (scalar for bypass, bulk-replayed for victim)
-        on shared timing state."""
+        bulk-replayed assist-on spans on shared timing state."""
         _assert_three_way(trace, mechanism=mechanism, initially_on=False)
 
     @settings(max_examples=40, deadline=None)
@@ -245,6 +300,13 @@ class TestVectorProperty:
     @given(trace=packed_traces())
     def test_victim_state(self, trace):
         assert_same_state(trace, classify_misses=True)
+
+    @settings(max_examples=40, deadline=None)
+    @given(trace=packed_traces())
+    def test_bypass_state(self, trace):
+        """Markers toggle a bypass gate that starts on: the MAT, SLDT
+        and buffer must end as the scalar loop leaves them."""
+        assert_same_state(trace, mechanism="bypass", classify_misses=True)
 
 
 def _run_gated_resume(monkeypatch, mechanism, middle):
@@ -316,9 +378,8 @@ class TestMidSegmentFallbackResume:
     @pytest.mark.parametrize(
         "mechanism, vector_spans",
         [
-            # Bypass spans always run the scalar fallback.
-            ("bypass", [False, False]),
-            # A victim span above the floor is replayed in bulk.
+            # An assist span above the floor is replayed in bulk.
+            ("bypass", [False, True, False]),
             ("victim", [False, True, False]),
         ],
         ids=["bypass", "victim"],
@@ -358,3 +419,35 @@ class TestVictimReinsert:
             emit(_LOAD, 0x80000 + i * 1024)  # evicts line 0 again
         ops, args, pcs = zip(*records)
         assert_same_state(PackedTrace("reinsert", ops, args, pcs))
+
+
+class TestBypassBufferTiming:
+    def test_buffer_hit_completes_last(self):
+        """A bypass-buffer hit costs one cycle over an L1 hit and uses
+        no refill bus; when it is the last operation to complete, that
+        cycle sets the run's total."""
+        records = []
+        pc = 0x400000
+
+        def emit(op, arg):
+            nonlocal pc
+            pc += 4
+            records.append((op, arg, pc))
+
+        hot = _BUFFER_STORM_BASE
+        for _ in range(12):
+            emit(_LOAD, hot)  # a hot macro-block
+        for j in range(1, 4):
+            emit(_LOAD, hot + j * 1024)  # fills the set; hot line is LRU
+        emit(_LOAD, hot + 4 * 1024)  # cold line: bypassed to the buffer
+        emit(_ALU, 2000)  # outlast the cold line's DRAM fetch
+        emit(_LOAD, hot + 4 * 1024)  # served by the buffer
+        trace = PackedTrace("buffer-hit", *zip(*records))
+        _assert_three_way(trace, mechanism="bypass")
+        scalar = simulate_trace(
+            trace,
+            base_config().scaled(TINY.machine_divisor),
+            mechanism="bypass",
+            vectorize=False,
+        )
+        assert scalar.memory.assist_hits == 1

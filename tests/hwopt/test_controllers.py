@@ -123,7 +123,6 @@ class TestVictimCacheAssist:
         assist = VictimCacheAssist(machine)
         decision = assist.fill_decision(0x1000, victim_line=5)
         assert decision.cache_in_l1
-        assert decision.extra_blocks == 0
 
     def test_counters(self, machine):
         assist = VictimCacheAssist(machine)

@@ -29,6 +29,7 @@ import os
 import sys
 import tempfile
 import time
+from functools import partial
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -48,6 +49,8 @@ from repro.workloads.registry import get_spec  # noqa: E402
 FULL_BENCHMARKS = ["vpenta", "adi", "compress", "swim"]
 SMOKE_BENCHMARKS = ["vpenta", "compress"]
 CONFIG_NAMES = ("Base Confg.", "Higher Mem. Lat.")
+#: Assists timed ``pure_hw`` (always on), scalar vs vectorized.
+ASSIST_LEGS = ("victim", "bypass")
 
 
 def _time(fn):
@@ -184,8 +187,8 @@ def bench_packed(scale, benchmark):
     stay comparable across PRs) and the ``simulate_vectorized`` entry
     for the block-batched numpy kernels, measured on the same trace and
     checked bit-identical against both scalar paths.  The vectorized
-    entry also times ``pure_hw/victim`` (the same trace with the victim
-    caches always on), scalar vs vectorized.
+    entry also times ``pure_hw`` with each assist in ``ASSIST_LEGS``
+    (the same trace with that assist always on), scalar vs vectorized.
     """
     spec = get_spec(benchmark)
 
@@ -203,33 +206,26 @@ def bench_packed(scale, benchmark):
     # Interleaved best-of-3 per leg: a fresh machine every repetition,
     # minimum wall time per leg, so one background hiccup cannot skew
     # the recorded speedup in either direction.
+    def simulate(trace, mechanism=None, vectorize=None):
+        return simulate_trace(
+            trace,
+            machine_builder().scaled(scale.machine_divisor),
+            mechanism=mechanism,
+            vectorize=vectorize,
+        )
+
     legs = {
-        "obj": lambda: simulate_trace(
-            obj_trace, machine_builder().scaled(scale.machine_divisor)
-        ),
-        "scalar": lambda: simulate_trace(
-            packed_trace,
-            machine_builder().scaled(scale.machine_divisor),
-            vectorize=False,
-        ),
-        "vector": lambda: simulate_trace(
-            packed_trace,
-            machine_builder().scaled(scale.machine_divisor),
-            vectorize=True,
-        ),
-        "victim_scalar": lambda: simulate_trace(
-            packed_trace,
-            machine_builder().scaled(scale.machine_divisor),
-            mechanism="victim",
-            vectorize=False,
-        ),
-        "victim_vector": lambda: simulate_trace(
-            packed_trace,
-            machine_builder().scaled(scale.machine_divisor),
-            mechanism="victim",
-            vectorize=True,
-        ),
+        "obj": partial(simulate, obj_trace),
+        "scalar": partial(simulate, packed_trace, vectorize=False),
+        "vector": partial(simulate, packed_trace, vectorize=True),
     }
+    for mechanism in ASSIST_LEGS:
+        legs[f"{mechanism}_scalar"] = partial(
+            simulate, packed_trace, mechanism, False
+        )
+        legs[f"{mechanism}_vector"] = partial(
+            simulate, packed_trace, mechanism, True
+        )
     times = {name: float("inf") for name in legs}
     results = {}
     for _ in range(3):
@@ -239,8 +235,6 @@ def bench_packed(scale, benchmark):
     obj_result, obj_sim_s = results["obj"], times["obj"]
     packed_result, packed_sim_s = results["scalar"], times["scalar"]
     vector_result, vector_sim_s = results["vector"], times["vector"]
-    victim_scalar_s = times["victim_scalar"]
-    victim_vector_s = times["victim_vector"]
 
     packed_report = {
         "benchmark": benchmark,
@@ -268,14 +262,20 @@ def bench_packed(scale, benchmark):
         "speedup_vs_scalar": round(packed_sim_s / vector_sim_s, 3)
         if vector_sim_s
         else None,
-        "victim_scalar_seconds": round(victim_scalar_s, 3),
-        "victim_vectorized_seconds": round(victim_vector_s, 3),
-        "victim_speedup": round(victim_scalar_s / victim_vector_s, 3)
-        if victim_vector_s
-        else None,
         "results_identical": obj_result == packed_result == vector_result
-        and results["victim_scalar"] == results["victim_vector"],
+        and all(
+            results[f"{mechanism}_scalar"] == results[f"{mechanism}_vector"]
+            for mechanism in ASSIST_LEGS
+        ),
     }
+    for mechanism in ASSIST_LEGS:
+        scalar_s = times[f"{mechanism}_scalar"]
+        vector_s = times[f"{mechanism}_vector"]
+        vector_report[f"{mechanism}_scalar_seconds"] = round(scalar_s, 3)
+        vector_report[f"{mechanism}_vectorized_seconds"] = round(vector_s, 3)
+        vector_report[f"{mechanism}_speedup"] = (
+            round(scalar_s / vector_s, 3) if vector_s else None
+        )
     return packed_report, vector_report
 
 
@@ -528,10 +528,14 @@ def main(argv=None) -> int:
         f"vectorized {vectorized['vectorized_simulate_seconds']}s "
         f"-> {vectorized['speedup_vs_objects']}x vs objects "
         f"({vectorized['speedup_vs_scalar']}x vs scalar packed); "
-        f"pure_hw/victim scalar {vectorized['victim_scalar_seconds']}s, "
-        f"vectorized {vectorized['victim_vectorized_seconds']}s "
-        f"-> {vectorized['victim_speedup']}x, "
-        f"identical={vectorized['results_identical']}"
+        + "".join(
+            f"pure_hw/{mechanism} scalar "
+            f"{vectorized[f'{mechanism}_scalar_seconds']}s, vectorized "
+            f"{vectorized[f'{mechanism}_vectorized_seconds']}s -> "
+            f"{vectorized[f'{mechanism}_speedup']}x; "
+            for mechanism in ASSIST_LEGS
+        )
+        + f"identical={vectorized['results_identical']}"
     )
 
     mrc = bench_mrc(scale, benchmarks[0])
