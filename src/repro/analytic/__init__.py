@@ -11,11 +11,11 @@ Two evaluation modes exist:
 * :mod:`repro.analytic.model` — the closed-form model.  Per-reference
   reuse distances are derived symbolically from loop bounds, strides,
   and layouts (O(IR size), milliseconds for the whole suite).
-* :mod:`repro.analytic.walk` — the exact walker.  The IR is walked
-  with the same semantics as the trace interpreter but addresses feed
-  an LRU stack directly; the result matches the trace-driven
-  histogram *exactly*, which is how the closed-form model is
-  validated (property-tested in ``tests/analytic``).
+* :mod:`repro.analytic.walk` — the exact reference.  The program is
+  run through the trace pipeline itself (the interpreter's packed
+  trace into the reuse-stack histogram and per-region profiles), which
+  is how the closed-form model is validated (tested in
+  ``tests/analytic``).
 
 Consumers:
 

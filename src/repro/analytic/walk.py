@@ -1,183 +1,30 @@
-"""Exact IR walker: trace-identical stack distances, no trace.
+"""Exact reference histograms for the closed-form model.
 
-This is the validation half of the analytic subsystem.  It executes a
-program with *exactly* the semantics of
-:class:`repro.tracegen.interpreter.TraceGenerator` — same reference
-order (reads, ALU, writes), same scalar address assignment, same
-index-then-data behavior of :class:`IndexedRef`, same persistent
-pointer-chase chains — but instead of materializing trace records it
-feeds each touched line straight into a
-:class:`repro.locality.stack.ReuseStackEngine`.
-
-The resulting histograms are therefore *bit-identical* to
-``distance_histogram(TraceGenerator(program).generate_packed())`` and
-``split_profiles(...)`` (property-tested in
-``tests/analytic/test_walk_exact.py``), while allocating no
-per-instruction storage.  The closed-form model
-(:mod:`repro.analytic.model`) is judged against this walker.
+The closed-form model (:mod:`repro.analytic.model`) is judged against
+the trace pipeline itself: the program is interpreted by
+:class:`repro.tracegen.interpreter.TraceGenerator` and the packed trace
+is run through the same reuse-stack consumers the simulator-side
+locality tools use.  These wrappers exist so model tests and callers
+can name "the exact answer for this program" in one call.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
-
-from repro.compiler.ir.loops import Loop, Node
 from repro.compiler.ir.program import Program
-from repro.compiler.ir.refs import (
-    AffineRef,
-    IndexedRef,
-    NonAffineRef,
-    PointerChaseRef,
-    RegisterRef,
-    ScalarRef,
-)
-from repro.compiler.ir.stmts import MarkerStmt, Statement
-from repro.locality.mrc import DistanceHistogram
-from repro.locality.profile import LocalityProfile, RegionProfile
-from repro.locality.stack import ReuseStackEngine
-from repro.tracegen.memory_map import SCALAR_BASE, assign_addresses
+from repro.locality.mrc import DistanceHistogram, distance_histogram
+from repro.locality.profile import LocalityProfile, split_profiles
+from repro.tracegen.interpreter import TraceGenerator
 
 __all__ = ["walk_histogram", "walk_profile"]
 
 
-class _Walker:
-    """One execution of the program against an LRU stack.
+def walk_histogram(program: Program, line_size: int = 32) -> DistanceHistogram:
+    """Exact whole-program stack-distance histogram.
 
-    Mirrors ``TraceGenerator`` record-for-record: ``self._offset``
-    counts emitted trace records (loads, stores, ALU bursts, branches,
-    markers) so region ``start`` offsets match
-    :func:`repro.locality.profile.split_profiles` exactly.
+    ``distance_histogram`` of the interpreter's trace of ``program``.
     """
-
-    def __init__(
-        self,
-        program: Program,
-        line_size: int,
-        initially_on: bool,
-        engine: Optional[ReuseStackEngine] = None,
-    ):
-        self.program = program
-        self.line_size = line_size
-        assign_addresses(program)  # idempotent, same map as the tracer
-        self._engine = engine or ReuseStackEngine()
-        self._scalar_addrs: dict[str, int] = {}
-        self._assign_scalars()
-        self._chains: dict[str, int] = {}
-        self._offset = 0
-        self.regions: list[RegionProfile] = [
-            RegionProfile(0, initially_on, 0)
-        ]
-        self._record = self.regions[0].histogram.record
-
-    # -- scalar addresses (same order as TraceGenerator._assign_pcs) ----
-
-    def _assign_scalars(self) -> None:
-        cursor = SCALAR_BASE
-
-        def register(name: str) -> None:
-            nonlocal cursor
-            if name not in self._scalar_addrs:
-                self._scalar_addrs[name] = cursor
-                cursor += 8
-
-        def visit(nodes) -> None:
-            for node in nodes:
-                if isinstance(node, Loop):
-                    visit(node.body)
-                elif isinstance(node, Statement):
-                    for ref in node.references:
-                        if isinstance(ref, ScalarRef):
-                            register(ref.name)
-                        elif isinstance(ref, RegisterRef) and isinstance(
-                            ref.original, ScalarRef
-                        ):
-                            register(ref.original.name)
-
-        visit(self.program.body)
-
-    # -- execution -------------------------------------------------------
-
-    def run(self) -> None:
-        self._exec_nodes(self.program.body, {})
-
-    def _exec_nodes(self, nodes: list[Node], bindings: dict[str, int]):
-        for node in nodes:
-            if isinstance(node, Loop):
-                self._exec_loop(node, bindings)
-            elif isinstance(node, Statement):
-                self._exec_statement(node, bindings)
-            elif isinstance(node, MarkerStmt):
-                region = RegionProfile(
-                    len(self.regions), node.activates, self._offset
-                )
-                self.regions.append(region)
-                self._record = region.histogram.record
-                self._offset += 1
-            else:  # pragma: no cover - IR is closed over these types
-                raise TypeError(f"cannot execute {node!r}")
-
-    def _exec_loop(self, loop: Loop, bindings: dict[str, int]) -> None:
-        lower = loop.lower.eval(bindings)
-        upper = loop.upper.eval(bindings)
-        body = loop.body
-        variable = loop.var
-        for value in range(lower, upper, loop.step):
-            bindings[variable] = value
-            self._exec_nodes(body, bindings)
-            self._offset += 2  # induction ALU + branch
-
-    def _exec_statement(
-        self, statement: Statement, bindings: Mapping[str, int]
-    ) -> None:
-        for ref in statement.reads:
-            self._touch(ref, bindings)
-        if statement.work:
-            self._offset += 1  # one compressed ALU burst record
-        for ref in statement.writes:
-            self._touch(ref, bindings)
-
-    def _access(self, addr: int) -> None:
-        self._record(self._engine.access(addr // self.line_size))
-        self._offset += 1
-
-    def _touch(self, ref, bindings: Mapping[str, int]) -> None:
-        if isinstance(ref, AffineRef):
-            self._access(ref.address(bindings))
-        elif isinstance(ref, ScalarRef):
-            self._access(self._scalar_addrs[ref.name])
-        elif isinstance(ref, RegisterRef):
-            pass  # promoted to a register: no memory traffic
-        elif isinstance(ref, IndexedRef):
-            index_addr, data_addr = ref.addresses(bindings)
-            self._access(index_addr)
-            self._access(data_addr)
-        elif isinstance(ref, PointerChaseRef):
-            node = self._chains.get(ref.chain, 0)
-            addr, nxt = ref.address_and_next(node)
-            self._access(addr)
-            self._chains[ref.chain] = nxt
-        elif isinstance(ref, NonAffineRef):
-            self._access(ref.address(bindings))
-        else:  # pragma: no cover - reference taxonomy is closed
-            raise TypeError(f"cannot execute reference {ref!r}")
-
-
-def walk_histogram(
-    program: Program,
-    line_size: int = 32,
-    engine: Optional[ReuseStackEngine] = None,
-) -> DistanceHistogram:
-    """Exact whole-program stack-distance histogram, no trace.
-
-    Equals ``distance_histogram(trace, line_size)`` for the trace the
-    interpreter would generate from the same program.
-    """
-    walker = _Walker(program, line_size, initially_on=False, engine=engine)
-    walker.run()
-    merged = DistanceHistogram()
-    for region in walker.regions:
-        merged = merged.merged(region.histogram)
-    return merged
+    trace = TraceGenerator(program).generate_packed()
+    return distance_histogram(trace, line_size)
 
 
 def walk_profile(
@@ -185,12 +32,11 @@ def walk_profile(
     line_size: int = 32,
     initially_on: bool = False,
 ) -> LocalityProfile:
-    """Exact per-region locality profile, no trace.
+    """Exact per-region locality profile.
 
-    Equals ``split_profiles(trace, line_size, initially_on)`` for the
-    interpreter's trace of the same program — one shared LRU stack,
-    distances binned into the dynamic region they occur in.
+    ``split_profiles`` of the interpreter's trace of ``program`` — one
+    shared LRU stack, distances binned into the dynamic region they
+    occur in.
     """
-    walker = _Walker(program, line_size, initially_on=initially_on)
-    walker.run()
-    return LocalityProfile(program.name, line_size, walker.regions)
+    trace = TraceGenerator(program).generate_packed()
+    return split_profiles(trace, line_size, initially_on)

@@ -62,9 +62,9 @@ def simulate_trace(
     so the returned result is bit-identical either way.
 
     ``vectorize`` forwards to :class:`CPUSimulator`: None picks the
-    fastest eligible path automatically, False pins the scalar loops,
+    fastest eligible path automatically, False pins the scalar loop,
     True forces the numpy kernels (benchmarks and equivalence tests).
-    All three produce bit-identical results.
+    All three settings produce bit-identical results.
     """
     assist = make_assist(mechanism, machine) if mechanism else None
     hierarchy = MemoryHierarchy(machine, assist, classify_misses)

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Optional, Union
 
-from repro.isa.packed import AnyTrace, PackedTrace
+from repro.isa.packed import AnyTrace, as_packed
 from repro.params import MachineParams
 from repro.workloads.base import Scale
 
@@ -70,9 +70,7 @@ def trace_checksum(trace: AnyTrace) -> str:
     Object traces are packed first so both forms of the same stream
     digest identically.
     """
-    if not isinstance(trace, PackedTrace):
-        trace = PackedTrace.from_trace(trace)
-    return trace.checksum()
+    return as_packed(trace).checksum()
 
 
 @dataclass(frozen=True)

@@ -29,17 +29,17 @@ Model (one pass over the trace, O(N)):
 
 Final cycle count is the completion time of the last instruction.
 
-Three implementations produce bit-identical results (pinned by
+Two implementations produce bit-identical results (pinned by
 ``tests/cpu/test_packed_equivalence.py`` and the hypothesis suite in
 ``tests/cpu/test_vector_property.py``):
 
-* ``_run_objects`` — the per-record reference loop over
-  :class:`Instruction` tuples;
-* ``_run_packed`` — the same loop over packed columns, restructured as
-  ``_run_packed_range`` so it can process any half-open record range
-  against a shared :class:`_PackedState`;
+* ``_run_packed_range`` — the scalar per-record reference loop over the
+  packed columns, processing any half-open record range against a
+  shared :class:`_PackedState`;
 * :func:`repro.cpu.vector.run_vectorized` — block-batched numpy
-  kernels, dispatched automatically for :class:`PackedTrace` inputs.
+  kernels, dispatched automatically.
+
+Object traces are packed once on entry, so both loops read columns.
 
 **How the batched kernels preserve bit-identity.**  Nothing in the
 memory system depends on simulated *time* — caches, TLBs and the
@@ -75,7 +75,7 @@ from repro.cpu.branch import BimodalPredictor
 from repro.cpu.results import SimulationResult
 from repro.hwopt.gate import HardwareGate
 from repro.isa.instructions import Opcode
-from repro.isa.packed import AnyTrace, PackedTrace
+from repro.isa.packed import AnyTrace, PackedTrace, as_packed
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.params import MachineParams
 
@@ -163,19 +163,19 @@ class CPUSimulator:
         self.predictor = BimodalPredictor(machine.bimodal_entries)
         self.model_ifetch = model_ifetch
         self.telemetry = telemetry
-        #: None = use the vector kernels when numpy is importable and
-        #: the run is eligible; True/False force the choice (True raises
-        #: if numpy is unavailable — used by the equivalence tests).
+        #: None = use the vector kernels when the run is eligible;
+        #: True/False force the choice (used by the equivalence tests).
         self.vectorize = vectorize
 
     def run(self, trace: AnyTrace) -> SimulationResult:
         """Simulate the whole trace; return cycles and statistics.
 
-        Packed traces take the block-batched vector path when eligible
-        (falling back to the columnar scalar loop otherwise); object
-        traces take the reference loop.  All paths produce bit-identical
-        results (pinned by ``tests/cpu/test_packed_equivalence.py``) —
-        any change to the timing model must be made to every loop.
+        Object traces are packed first.  The run takes the
+        block-batched vector path when eligible and the scalar columnar
+        loop otherwise; both produce bit-identical results (pinned by
+        ``tests/cpu/test_packed_equivalence.py``) — any change to the
+        timing model must be made to both, and ``vectorize=False`` pins
+        the scalar loop.
 
         An attached telemetry hub only *reads* simulator and hierarchy
         counters, so results are bit-identical with or without one
@@ -188,13 +188,12 @@ class CPUSimulator:
                 gate_on=self.gate.enabled,
             )
             self.gate.telemetry = self.telemetry
-        if isinstance(trace, PackedTrace):
-            if self._vector_eligible():
-                from repro.cpu.vector import run_vectorized
+        trace = as_packed(trace)
+        if self._vector_eligible():
+            from repro.cpu.vector import run_vectorized
 
-                return run_vectorized(self, trace)
-            return self._run_packed(trace)
-        return self._run_objects(trace)
+            return run_vectorized(self, trace)
+        return self._run_packed(trace)
 
     def _vector_eligible(self) -> bool:
         """Whether this run may use the block-batched numpy kernels.
@@ -207,197 +206,13 @@ class CPUSimulator:
         """
         if self.vectorize is False:
             return False
-        from repro.cpu import vector
-
-        if not vector.available():
-            if self.vectorize:
-                raise RuntimeError(
-                    "vectorize=True requested but numpy is not importable"
-                )
-            return False
-        if self.telemetry is not None and self.telemetry.interval > 0:
-            return False
-        return True
-
-    def _run_objects(self, trace) -> SimulationResult:
-        """Reference implementation over per-instruction records."""
-        machine = self.machine
-        hierarchy = self.hierarchy
-        gate = self.gate
-        predictor = self.predictor
-        issue_width = machine.issue_width
-        mispredict_penalty = machine.branch_mispredict_penalty
-        l1i_hit = machine.l1i.latency
-        ifetch_line_mask = ~(machine.l1i.block_size - 1)
-        model_ifetch = self.model_ifetch
-
-        lsq_size = machine.lsq_entries
-        lsq_done = [0] * lsq_size  # completion time per LSQ slot (ring)
-        lsq_index = 0
-        num_ports = machine.mem_ports
-        # Port arbitration picks the earliest-free port; the 1- and
-        # 2-port cases (every Table 1 machine) are hoisted out of the
-        # general scan into plain int locals.
-        single_port = num_ports == 1
-        dual_port = num_ports == 2
-        port0 = port1 = 0
-        port_free = [0] * num_ports
-        # Shared refill bus: beats to move one L1 line from L2.  DRAM
-        # fills occupy the same L1-side bus slot; their own (much
-        # longer) DRAM-bus transfer is part of the access latency, as
-        # in SimpleScalar — modelling DRAM-side *contention* on top
-        # would make miss-storm code bandwidth-bound and insensitive
-        # to memory latency, which the paper's simulator is not.
-        l2_refill_beats = max(
-            machine.l1d.block_size // machine.mem_bus_width, 1
-        )
-        refill_bus_free = 0
-        # MSHR ring: a DRAM-served miss waits for the one issued
-        # max_outstanding_misses earlier to complete.
-        mshr_count = machine.max_outstanding_misses
-        mshr_done = [0] * mshr_count
-        mshr_index = 0
-
-        issue_cycle = 0  # cycle currently being filled with issues
-        slot = 0  # issue slots used in issue_cycle
-        last_done = 0  # completion time of the latest-finishing op
-
-        instructions = loads = stores = branches = 0
-        current_ifetch_line = -1
-
-        data_access = hierarchy.data_access
-        inst_fetch = hierarchy.inst_fetch
-
-        # Telemetry: ``next_sample`` is None unless interval sampling is
-        # on, so a disabled run pays one local ``is None`` check per
-        # record.  Sampling and span bookkeeping only read state.
-        telemetry = self.telemetry
-        sample_step = telemetry.interval if telemetry is not None else 0
-        next_sample = sample_step if sample_step > 0 else None
-
-        for op, arg, pc in trace.instructions:
-            if next_sample is not None and issue_cycle >= next_sample:
-                telemetry.sample(issue_cycle, instructions)
-                next_sample = (
-                    issue_cycle - issue_cycle % sample_step + sample_step
-                )
-
-            # -- front end: instruction fetch ---------------------------
-            if model_ifetch:
-                line = pc & ifetch_line_mask
-                if line != current_ifetch_line:
-                    current_ifetch_line = line
-                    fetch_latency = inst_fetch(pc)
-                    if fetch_latency > l1i_hit:
-                        issue_cycle += fetch_latency - l1i_hit
-                        slot = 0
-
-            # -- issue slot accounting ----------------------------------
-            if op == Opcode.ALU:
-                count = arg if arg > 0 else 1
-                instructions += count
-                slot += count
-                if slot >= issue_width:
-                    issue_cycle += slot // issue_width
-                    slot %= issue_width
-                continue
-
-            instructions += 1
-            slot += 1
-            if slot >= issue_width:
-                issue_cycle += 1
-                slot = 0
-
-            if op == Opcode.LOAD or op == Opcode.STORE:
-                is_write = op == Opcode.STORE
-                if is_write:
-                    stores += 1
-                else:
-                    loads += 1
-                # The op at this LSQ slot lsq_size ago must have finished.
-                pending = lsq_done[lsq_index]
-                if pending > issue_cycle:
-                    issue_cycle = pending
-                    slot = 0
-                # Port arbitration: earliest free port.
-                if single_port:
-                    start = issue_cycle if issue_cycle > port0 else port0
-                    port0 = start + 1
-                elif dual_port:
-                    if port0 <= port1:
-                        start = issue_cycle if issue_cycle > port0 else port0
-                        port0 = start + 1
-                    else:
-                        start = issue_cycle if issue_cycle > port1 else port1
-                        port1 = start + 1
-                else:
-                    port = 0
-                    earliest = port_free[0]
-                    for p in range(1, num_ports):
-                        if port_free[p] < earliest:
-                            earliest = port_free[p]
-                            port = p
-                    start = (
-                        issue_cycle if issue_cycle > earliest else earliest
-                    )
-                    port_free[port] = start + 1
-                access = data_access(arg, is_write)
-                if access.l1_hit or access.served_by == "assist":
-                    done = start + access.latency
-                else:
-                    # A refill: serialize on the shared L1 fill bus.
-                    if refill_bus_free > start:
-                        start = refill_bus_free
-                    refill_bus_free = start + l2_refill_beats
-                    if access.served_by == "mem":
-                        # DRAM: bounded memory-level parallelism.
-                        pending_miss = mshr_done[mshr_index]
-                        if pending_miss > start:
-                            start = pending_miss
-                        done = start + access.latency
-                        mshr_done[mshr_index] = done
-                        mshr_index += 1
-                        if mshr_index == mshr_count:
-                            mshr_index = 0
-                    else:
-                        done = start + access.latency
-                lsq_done[lsq_index] = done
-                lsq_index += 1
-                if lsq_index == lsq_size:
-                    lsq_index = 0
-                if done > last_done:
-                    last_done = done
-            elif op == Opcode.BRANCH:
-                branches += 1
-                if not predictor.predict_and_update(pc, arg != 0):
-                    issue_cycle += mispredict_penalty
-                    slot = 0
-            elif op == Opcode.HW_ON:
-                if telemetry is not None:
-                    telemetry.now = issue_cycle
-                    telemetry.instructions = instructions
-                gate.activate()
-            elif op == Opcode.HW_OFF:
-                if telemetry is not None:
-                    telemetry.now = issue_cycle
-                    telemetry.instructions = instructions
-                gate.deactivate()
-            else:  # pragma: no cover - exhaustive over Opcode
-                raise ValueError(f"unknown opcode {op!r}")
-
-        total_cycles = max(issue_cycle + (1 if slot else 0), last_done)
-        if telemetry is not None:
-            telemetry.finish(total_cycles, instructions)
-        return self._result(
-            trace.name, total_cycles, instructions, loads, stores, branches
-        )
+        return self.telemetry is None or self.telemetry.interval <= 0
 
     def _run_packed(self, trace: PackedTrace) -> SimulationResult:
-        """Columnar scalar path over the three packed columns.
+        """Scalar path over the whole trace.
 
-        Semantically identical to :meth:`_run_objects`; the loop body
-        lives in :meth:`_run_packed_range` so the vector driver can run
-        the same code over fallback segments mid-trace.
+        The loop body lives in :meth:`_run_packed_range` so the vector
+        driver can run the same code over fallback segments mid-trace.
         """
         telemetry = self.telemetry
         sample_step = telemetry.interval if telemetry is not None else 0
@@ -448,19 +263,26 @@ class CPUSimulator:
         lsq_done = state.lsq_done
         lsq_index = state.lsq_index
         num_ports = machine.mem_ports
-        # Port arbitration: the 1- and 2-port cases (every Table 1
-        # machine) are hoisted out of the general scan into int locals.
+        # Port arbitration picks the earliest-free port; the 1- and
+        # 2-port cases (every Table 1 machine) are hoisted out of the
+        # general scan into plain int locals.
         port_free = state.port_free
         single_port = num_ports == 1
         dual_port = num_ports == 2
         port0 = port_free[0]
         port1 = port_free[1] if dual_port else 0
-        # Shared refill bus / MSHR ring: same model as the object loop
-        # (see the block comments there).
+        # Shared refill bus: beats to move one L1 line from L2.  DRAM
+        # fills occupy the same L1-side bus slot; their own (much
+        # longer) DRAM-bus transfer is part of the access latency, as
+        # in SimpleScalar — modelling DRAM-side *contention* on top
+        # would make miss-storm code bandwidth-bound and insensitive
+        # to memory latency, which the paper's simulator is not.
         l2_refill_beats = max(
             machine.l1d.block_size // machine.mem_bus_width, 1
         )
         refill_bus_free = state.refill_bus_free
+        # MSHR ring: a DRAM-served miss waits for the one issued
+        # max_outstanding_misses earlier to complete.
         mshr_count = machine.max_outstanding_misses
         mshr_done = state.mshr_done
         mshr_index = state.mshr_index
@@ -481,8 +303,9 @@ class CPUSimulator:
         activate = gate.activate
         deactivate = gate.deactivate
 
-        # Telemetry: same contract as the object loop — one local
-        # ``is None`` check per record when disabled.
+        # Telemetry: ``next_sample`` is None unless interval sampling is
+        # on, so a disabled run pays one local ``is None`` check per
+        # record.  Sampling and span bookkeeping only read state.
         telemetry = self.telemetry
         sample_step = telemetry.interval if telemetry is not None else 0
         next_sample = state.next_sample

@@ -1,8 +1,8 @@
 """Block-batched numpy execution of packed traces.
 
-This is the fast path behind :meth:`CPUSimulator.run` for
-:class:`PackedTrace` inputs.  It produces results bit-identical to the
-scalar loops (see the bit-identity note in :mod:`repro.cpu.pipeline`)
+This is the fast path behind :meth:`CPUSimulator.run`.  It produces
+results bit-identical to the scalar loop ``_run_packed_range`` (see
+the bit-identity note in :mod:`repro.cpu.pipeline`)
 by splitting the trace at HW_ON/HW_OFF markers and running each span
 in two phases, whether the hardware assist is off or on:
 
@@ -33,7 +33,7 @@ Marker records and spans under ``MIN_VECTOR_SPAN`` execute through the
 scalar ``_run_packed_range`` against the same shared ``_PackedState``,
 so the two execution styles alternate freely mid-trace.
 
-Port arbitration note: the scalar loops pick the earliest-free port
+Port arbitration note: the scalar loop picks the earliest-free port
 with a linear scan.  Here the ports are a sorted ring rotated FIFO —
 because access start times are non-decreasing within a span, the port
 freed longest ago is always an earliest-free port, so the resulting
@@ -44,10 +44,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is baked into the env
-    np = None
+import numpy as np
 
 from repro.isa.instructions import Opcode
 
@@ -55,7 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cpu.pipeline import CPUSimulator, _PackedState
     from repro.isa.packed import PackedTrace
 
-__all__ = ["available", "run_vectorized"]
+__all__ = ["run_vectorized"]
 
 _LOAD = int(Opcode.LOAD)
 _STORE = int(Opcode.STORE)
@@ -64,22 +61,23 @@ _BRANCH = int(Opcode.BRANCH)
 
 #: Spans shorter than this run through the scalar loop: the fixed cost
 #: of ~20 numpy kernel launches outweighs per-record interpretation on
-#: tiny spans (frequent in selective traces with many gated regions).
-#: ``vectorize=True`` overrides the floor so tests can force the
-#: kernels onto arbitrarily small traces.
+#: short spans, and selective traces with many gated regions are full
+#: of them.  At TINY scale 288 of the 321 non-empty spans of the 13
+#: selective traces are under 512 records; forcing the kernels onto
+#: them made the 13 victim simulations 11-34% slower (0.68 s against
+#: 0.51-0.61 s) and the 13 bypass ones 8-14% slower (median of 5
+#: alternating runs, two sessions, 2-vCPU Xeon).  At SMALL scale the
+#: floor neither helps nor hurts measurably.  ``vectorize=True``
+#: overrides the floor so tests can force the kernels onto arbitrarily
+#: small traces.
 MIN_VECTOR_SPAN = 512
-
-
-def available() -> bool:
-    """Whether the vector kernels can run (numpy importable)."""
-    return np is not None
 
 
 def run_vectorized(sim: "CPUSimulator", trace: "PackedTrace"):
     """Simulate a packed trace with the block-batched kernels.
 
     Dispatched from :meth:`CPUSimulator.run`; bit-identical to
-    ``_run_packed`` / ``_run_objects``.
+    ``_run_packed``.
     """
     from repro.cpu.pipeline import _PackedState
 

@@ -6,11 +6,12 @@ how far apart are its reuses.  The workload tests use these to confirm
 each benchmark model exhibits the access character its SPEC/TPC
 namesake is modelled after.
 
-Both entry points accept either trace form; packed columnar traces are
-scanned without materializing per-instruction objects.  The reuse
-histogram rides on :mod:`repro.locality` — O(N log M) via the
-Fenwick-indexed LRU stack instead of the former O(N·M) ordered-dict
-scan, with identical labels and counts (pinned by
+Both entry points accept either trace form; object traces are packed
+on entry, and the scan reads the columns without materializing
+per-instruction objects.  The reuse histogram rides on
+:mod:`repro.locality` — O(N log M) via the Fenwick-indexed LRU stack
+instead of the former O(N·M) ordered-dict scan, with identical labels
+and counts (pinned by
 ``tests/isa/test_histogram_equivalence.py``).
 """
 
@@ -20,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from repro.isa.instructions import Opcode
-from repro.isa.packed import AnyTrace, PackedTrace
+from repro.isa.packed import AnyTrace, as_packed
 from repro.locality.mrc import distance_histogram
 
 __all__ = ["TraceProfile", "profile_trace", "reuse_distance_histogram"]
@@ -60,40 +61,26 @@ class TraceProfile:
 def profile_trace(trace: AnyTrace, line_size: int = 32) -> TraceProfile:
     """Compute a :class:`TraceProfile` in one pass.
 
-    Packed traces are scanned column-wise (no instruction objects), so
-    workload validation over full benchmark traces stays cheap; both
-    paths produce identical profiles.
+    The packed columns are scanned directly (no instruction objects),
+    so workload validation over full benchmark traces stays cheap.
     """
     refs = 0
     reads = 0
     sequential = 0
     last_line = None
     line_counts: Counter = Counter()
-    if isinstance(trace, PackedTrace):
-        ops, args, _pcs = trace.columns()
-        for op, arg in zip(ops, args):
-            if op == _LOAD:
-                reads += 1
-            elif op != _STORE:
-                continue
-            refs += 1
-            line = arg // line_size
-            line_counts[line] += 1
-            if last_line is not None and line in (last_line, last_line + 1):
-                sequential += 1
-            last_line = line
-    else:
-        for inst in trace.instructions:
-            if inst.op is Opcode.LOAD:
-                reads += 1
-            elif inst.op is not Opcode.STORE:
-                continue
-            refs += 1
-            line = inst.arg // line_size
-            line_counts[line] += 1
-            if last_line is not None and line in (last_line, last_line + 1):
-                sequential += 1
-            last_line = line
+    ops, args, _pcs = as_packed(trace).columns()
+    for op, arg in zip(ops, args):
+        if op == _LOAD:
+            reads += 1
+        elif op != _STORE:
+            continue
+        refs += 1
+        line = arg // line_size
+        line_counts[line] += 1
+        if last_line is not None and line in (last_line, last_line + 1):
+            sequential += 1
+        last_line = line
     distinct = len(line_counts)
     top = max(line_counts.values()) if line_counts else 0
     return TraceProfile(

@@ -30,7 +30,7 @@ from repro.isa.instructions import Instruction, Opcode
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.isa.trace import Trace
 
-__all__ = ["PackedTrace", "AnyTrace"]
+__all__ = ["PackedTrace", "AnyTrace", "as_packed"]
 
 _LOAD = int(Opcode.LOAD)
 _STORE = int(Opcode.STORE)
@@ -217,3 +217,15 @@ class PackedTrace:
 #: Either trace form; everything downstream of the trace generator
 #: (simulator, encoder, experiment drivers) accepts both.
 AnyTrace = Union["Trace", PackedTrace]
+
+
+def as_packed(trace: AnyTrace) -> PackedTrace:
+    """``trace`` in packed form: packed traces pass through unchanged,
+    object traces are packed once with :meth:`PackedTrace.from_trace`.
+
+    Every simulator and locality loop reads packed columns only; public
+    entry points that also accept object traces call this first.
+    """
+    if isinstance(trace, PackedTrace):
+        return trace
+    return PackedTrace.from_trace(trace)

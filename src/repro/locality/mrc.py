@@ -13,10 +13,10 @@ exactly — not approximately — which is pinned against direct
 :class:`repro.memory.cache.SetAssociativeCache` simulation by
 ``tests/locality/test_mrc_cache_agreement.py``.
 
-:func:`distance_histogram` has a columnar fast path over
+:func:`distance_histogram` scans the columns of a
 :class:`~repro.isa.packed.PackedTrace` (ints compared against ints, no
-per-record :class:`Instruction` objects), mirroring the simulator's
-packed hot loop; both paths produce identical histograms.
+per-record :class:`Instruction` objects), like the simulator's hot
+loop; object traces are packed on entry.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from repro.isa.instructions import Opcode
-from repro.isa.packed import AnyTrace, PackedTrace
+from repro.isa.packed import AnyTrace, as_packed
 from repro.locality.stack import COLD, ReuseStackEngine
 
 __all__ = ["DistanceHistogram", "MissRatioCurve", "distance_histogram"]
@@ -178,13 +178,8 @@ def distance_histogram(
     histogram = DistanceHistogram()
     access = engine.access
     record = histogram.record
-    if isinstance(trace, PackedTrace):
-        ops, args, _pcs = trace.columns()
-        for op, arg in zip(ops, args):
-            if op == _LOAD or op == _STORE:
-                record(access(arg // line_size))
-    else:
-        for inst in trace.instructions:
-            if inst.is_memory:
-                record(access(inst.arg // line_size))
+    ops, args, _pcs = as_packed(trace).columns()
+    for op, arg in zip(ops, args):
+        if op == _LOAD or op == _STORE:
+            record(access(arg // line_size))
     return histogram

@@ -11,8 +11,8 @@ curve per dynamic region, which is what the model-driven gating policy
 
 Traces without markers produce a single region carrying the initial
 gate state, so the same entry point profiles base and optimized traces
-too.  Both trace forms are supported; the packed path never
-materializes instruction objects.
+too.  Object traces are packed on entry; the scan reads the packed
+columns and never materializes instruction objects.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.isa.instructions import Opcode
-from repro.isa.packed import AnyTrace, PackedTrace
+from repro.isa.packed import AnyTrace, as_packed
 from repro.locality.mrc import DistanceHistogram, MissRatioCurve
 from repro.locality.stack import ReuseStackEngine
 
@@ -94,24 +94,14 @@ def split_profiles(
     regions: list[RegionProfile] = [RegionProfile(0, initially_on, 0)]
     record = regions[0].histogram.record
     gate_on = initially_on
-    if isinstance(trace, PackedTrace):
-        ops, args, _pcs = trace.columns()
-        for offset, (op, arg) in enumerate(zip(ops, args)):
-            if op == _LOAD or op == _STORE:
-                record(access(arg // line_size))
-            elif op == _HW_ON or op == _HW_OFF:
-                gate_on = op == _HW_ON
-                region = RegionProfile(len(regions), gate_on, offset)
-                regions.append(region)
-                record = region.histogram.record
-    else:
-        for offset, inst in enumerate(trace.instructions):
-            op = inst.op
-            if op is Opcode.LOAD or op is Opcode.STORE:
-                record(access(inst.arg // line_size))
-            elif op is Opcode.HW_ON or op is Opcode.HW_OFF:
-                gate_on = op is Opcode.HW_ON
-                region = RegionProfile(len(regions), gate_on, offset)
-                regions.append(region)
-                record = region.histogram.record
+    trace = as_packed(trace)
+    ops, args, _pcs = trace.columns()
+    for offset, (op, arg) in enumerate(zip(ops, args)):
+        if op == _LOAD or op == _STORE:
+            record(access(arg // line_size))
+        elif op == _HW_ON or op == _HW_OFF:
+            gate_on = op == _HW_ON
+            region = RegionProfile(len(regions), gate_on, offset)
+            regions.append(region)
+            record = region.histogram.record
     return LocalityProfile(trace.name, line_size, regions)

@@ -5,7 +5,8 @@ must be monotone non-increasing in cache size (more capacity never
 hurts a stack algorithm), over randomly generated affine nests.
 *Agreement*: on nests whose locality has a pencil-and-paper answer
 (streams, repeated scans, column extraction, tiled matmul) the model
-must land on — or within a tight tolerance of — the exact walker.
+must land on — or within a tight tolerance of — the exact histogram
+of the interpreter's trace (:func:`repro.analytic.walk.walk_histogram`).
 """
 
 from hypothesis import given, settings
@@ -15,11 +16,51 @@ from repro.analytic.model import LocalityModel, predict_nest_histogram
 from repro.analytic.walk import walk_histogram
 from repro.compiler.ir.builder import ProgramBuilder, loop, stmt
 from repro.compiler.ir.expr import var
+from repro.compiler.ir.stmts import MarkerStmt
 from repro.compiler.transforms.tiling import apply_tiling
 
-from .test_walk_exact import affine_programs
-
 LINE = 32
+
+
+@st.composite
+def affine_programs(draw):
+    """A random program of 1-2 affine nests with concrete bounds."""
+    b = ProgramBuilder("prop")
+    arrays = [b.array(name, (16, 16)) for name in ("A", "B")]
+    body = []
+    nests = draw(st.integers(1, 2))
+    for nest_index in range(nests):
+        depth = draw(st.integers(1, 3))
+        names = [f"n{nest_index}v{level}" for level in range(depth)]
+        vars_ = [var(name) for name in names]
+
+        def reference():
+            array = draw(st.sampled_from(arrays))
+            subscripts = []
+            for _ in range(2):
+                v = draw(st.sampled_from(vars_))
+                c = draw(st.integers(0, 2))
+                subscripts.append(v + c)
+            return array[subscripts[0], subscripts[1]]
+
+        reads = [reference() for _ in range(draw(st.integers(1, 3)))]
+        writes = (
+            [reference()] if draw(st.booleans()) else []
+        )
+        statements = [stmt(reads=reads, writes=writes, work=1)]
+        if draw(st.booleans()):
+            statements.append(
+                stmt(reads=[reference()], work=draw(st.integers(0, 2)))
+            )
+        nest = statements
+        for name in reversed(names):
+            nest = [loop(name, 0, draw(st.integers(2, 5)), nest)]
+        if draw(st.booleans()):
+            body.append(MarkerStmt(draw(st.sampled_from(["on", "off"]))))
+        body.extend(nest)
+    for node in body:
+        b.append(node)
+    return b.build()
 
 
 def matmul(n=24):

@@ -1,12 +1,11 @@
-"""The packed and vectorized hot loops must be bit-identical to the
-object reference loop.
+"""The vectorized kernels must be bit-identical to the scalar loop.
 
-``CPUSimulator.run`` keeps three implementations: the original
-per-instruction reference loop, the columnar scalar fast path, and the
-block-batched numpy kernels (:mod:`repro.cpu.vector`).  These tests run
-all three on real benchmark traces — every benchmark, base and
-selective versions, both machine configurations — and assert the
-*entire* :class:`SimulationResult` (cycles, instruction counts, memory
+``CPUSimulator.run`` keeps two implementations: the columnar scalar
+reference loop (``vectorize=False``) and the block-batched numpy
+kernels (:mod:`repro.cpu.vector`).  These tests run both on real
+benchmark traces — every benchmark, base and selective versions, both
+machine configurations — and assert the *entire*
+:class:`SimulationResult` (cycles, instruction counts, memory
 snapshot) matches.  Any timing-model change must keep them in lockstep.
 Victim-cache and bypass runs additionally compare the hierarchy's end
 state (:func:`tests.cpu.test_vector_property.assert_same_state`), which
@@ -61,23 +60,19 @@ def codes_by_name():
 
 
 def _assert_equivalent(packed_trace, config, **kwargs):
-    """Object loop == scalar packed loop == vectorized kernels."""
+    """Scalar loop == vectorized kernels."""
     divisor = TINY.machine_divisor
-    objects = simulate_trace(
-        packed_trace.to_trace(), config().scaled(divisor), **kwargs
-    )
     scalar = simulate_trace(
         packed_trace, config().scaled(divisor), vectorize=False, **kwargs
     )
     vector = simulate_trace(
         packed_trace, config().scaled(divisor), vectorize=True, **kwargs
     )
-    assert scalar == objects
-    assert vector == objects
+    assert vector == scalar
 
 
 class TestPackedEquivalence:
-    """Three-way matrix: 13 benchmarks x base/selective x both configs."""
+    """Two-way matrix: 13 benchmarks x base/selective x both configs."""
 
     @pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS.keys())
     @pytest.mark.parametrize("name", ALL_BENCHMARKS)
@@ -114,7 +109,7 @@ class TestPackedEquivalence:
     def test_selective_trace_gated(
         self, codes_by_name, name, config, mechanism
     ):
-        """ON/OFF markers must toggle the gate identically in all loops."""
+        """ON/OFF markers must toggle the gate identically in both paths."""
         _assert_equivalent(
             codes_by_name[name].selective_trace,
             config,

@@ -5,8 +5,8 @@ toggles mid-trace, miss storms sized to saturate the MSHR file and
 the load/store queue, write-heavy conflict storms that overflow the
 victim caches, and buffer storms that bypass lines into the bypass
 buffer, hit them there and displace dirty double words — must produce
-bit-identical results through all three execution paths (object
-reference loop, scalar packed loop, block-batched numpy kernels).
+bit-identical results through both execution paths (the scalar
+reference loop and the block-batched numpy kernels).
 Hypothesis shrinks any divergence down to a minimal instruction
 sequence, which makes timing-model regressions far easier to localise
 than a benchmark-level mismatch.
@@ -171,9 +171,7 @@ def packed_traces(draw):
     return PackedTrace("prop", ops, args, pcs)
 
 
-def _assert_three_way(trace, **kwargs):
-    machine = base_config().scaled(TINY.machine_divisor)
-    objects = simulate_trace(trace.to_trace(), machine, **kwargs)
+def _assert_two_way(trace, **kwargs):
     scalar = simulate_trace(
         trace,
         base_config().scaled(TINY.machine_divisor),
@@ -186,8 +184,7 @@ def _assert_three_way(trace, **kwargs):
         vectorize=True,
         **kwargs,
     )
-    assert scalar == objects
-    assert vector == objects
+    assert vector == scalar
 
 
 def _cache_state(cache):
@@ -277,7 +274,7 @@ class TestVectorProperty:
     @settings(max_examples=40, deadline=None)
     @given(trace=packed_traces())
     def test_no_assist(self, trace):
-        _assert_three_way(trace, classify_misses=True)
+        _assert_two_way(trace, classify_misses=True)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -287,14 +284,14 @@ class TestVectorProperty:
     def test_gated_assist(self, trace, mechanism):
         """Toggles enable the assist: vector spans must interleave with
         bulk-replayed assist-on spans on shared timing state."""
-        _assert_three_way(trace, mechanism=mechanism, initially_on=False)
+        _assert_two_way(trace, mechanism=mechanism, initially_on=False)
 
     @settings(max_examples=40, deadline=None)
     @given(trace=packed_traces())
     def test_victim_always_on(self, trace):
         """Markers toggle a gate that starts on; with ``classify_misses``
         the shadow classifiers see the victim-filtered L2 stream."""
-        _assert_three_way(trace, mechanism="victim", classify_misses=True)
+        _assert_two_way(trace, mechanism="victim", classify_misses=True)
 
     @settings(max_examples=40, deadline=None)
     @given(trace=packed_traces())
@@ -315,7 +312,7 @@ def _run_gated_resume(monkeypatch, mechanism, middle):
     The gate-off spans exceed ``MIN_VECTOR_SPAN``, so they take the
     kernels; the assist-enabled middle span has ``middle`` iterations.
     Returns the assist state of every span the vector path ran, plus
-    the auto-dispatched and object-loop results.
+    the auto-dispatched and scalar-loop results.
     """
     from repro.cpu import vector
 
@@ -341,9 +338,12 @@ def _run_gated_resume(monkeypatch, mechanism, middle):
     ops, args, pcs = zip(*records)
     trace = PackedTrace("resume", ops, args, pcs)
 
-    machine = base_config().scaled(TINY.machine_divisor)
-    objects = simulate_trace(
-        trace.to_trace(), machine, mechanism=mechanism, initially_on=False
+    scalar = simulate_trace(
+        trace,
+        base_config().scaled(TINY.machine_divisor),
+        mechanism=mechanism,
+        initially_on=False,
+        vectorize=False,
     )
 
     seen = []
@@ -360,7 +360,7 @@ def _run_gated_resume(monkeypatch, mechanism, middle):
         mechanism=mechanism,
         initially_on=False,
     )
-    return seen, auto, objects
+    return seen, auto, scalar
 
 
 class TestMidSegmentFallbackResume:
@@ -369,11 +369,11 @@ class TestMidSegmentFallbackResume:
 
         The victim span is below ``MIN_VECTOR_SPAN``, so it runs the
         scalar fallback on the same ``_PackedState``.  The result must
-        still match the object reference loop exactly.
+        still match the scalar reference loop exactly.
         """
-        seen, auto, objects = _run_gated_resume(monkeypatch, "victim", 200)
+        seen, auto, scalar = _run_gated_resume(monkeypatch, "victim", 200)
         assert seen == [False, False]
-        assert auto == objects
+        assert auto == scalar
 
     @pytest.mark.parametrize(
         "mechanism, vector_spans",
@@ -388,11 +388,11 @@ class TestMidSegmentFallbackResume:
         self, monkeypatch, mechanism, vector_spans
     ):
         """vector span -> long assist-on span -> vector span again."""
-        seen, auto, objects = _run_gated_resume(
+        seen, auto, scalar = _run_gated_resume(
             monkeypatch, mechanism, MIN_VECTOR_SPAN + 200
         )
         assert seen == vector_spans
-        assert auto == objects
+        assert auto == scalar
 
 
 class TestVictimReinsert:
@@ -443,7 +443,7 @@ class TestBypassBufferTiming:
         emit(_ALU, 2000)  # outlast the cold line's DRAM fetch
         emit(_LOAD, hot + 4 * 1024)  # served by the buffer
         trace = PackedTrace("buffer-hit", *zip(*records))
-        _assert_three_way(trace, mechanism="bypass")
+        _assert_two_way(trace, mechanism="bypass")
         scalar = simulate_trace(
             trace,
             base_config().scaled(TINY.machine_divisor),

@@ -7,8 +7,8 @@ properties at once:
 1. this PR did not change any simulated number;
 2. running with a telemetry hub attached yields the exact same
    ``SimulationResult`` as running without one;
-3. the packed fast path and the object reference loop stay in lockstep
-   under instrumentation.
+3. an object trace, packed on entry, simulates and samples exactly
+   like its packed form.
 """
 
 from __future__ import annotations
@@ -187,19 +187,31 @@ class TestTelemetryIsPassive:
     @pytest.mark.parametrize("name", BENCHMARKS)
     @pytest.mark.parametrize("version", ["base", "selective"])
     def test_objects_identical(self, codes_by_name, machine, name, version):
+        """The object-trace boundary: ``CPUSimulator.run`` packs an
+        object trace on entry, so it yields the packed result and the
+        same interval samples."""
         codes = codes_by_name[name]
         trace = (
             codes.base_trace if version == "base" else codes.selective_trace
-        ).to_trace()
+        )
         kwargs = (
             {}
             if version == "base"
             else {"mechanism": "bypass", "initially_on": False}
         )
         plain = simulate_trace(trace, machine, **kwargs)
-        hub = Telemetry(interval=250)
-        observed = simulate_trace(trace, machine, telemetry=hub, **kwargs)
-        assert observed == plain
+        packed_hub = Telemetry(interval=250)
+        packed = simulate_trace(
+            trace, machine, telemetry=packed_hub, **kwargs
+        )
+        object_hub = Telemetry(interval=250)
+        observed = simulate_trace(
+            trace.to_trace(), machine, telemetry=object_hub, **kwargs
+        )
+        assert observed == packed == plain
+        assert list(object_hub.series.rows()) == list(
+            packed_hub.series.rows()
+        )
 
     def test_hub_observes_the_run(self, codes_by_name, machine):
         """The hub actually recorded something while staying passive."""

@@ -1,18 +1,16 @@
 #!/usr/bin/env python
-"""Benchmark the sweep engine: serial vs parallel, packed vs objects.
+"""Benchmark the sweep engine: serial vs parallel, scalar vs vectorized.
 
 Times a fixed mini-sweep (4 benchmarks x 2 machine configurations by
 default) twice — once with ``jobs=1`` and once with ``--jobs`` worker
 processes — verifies that every cell of the two sweeps is identical,
-and measures the packed-columnar trace path against the legacy object
-path for single-thread generation, simulation (scalar loop and the
-block-batched numpy kernels), and the reuse-distance/
-miss-ratio-curve engine, the analytic predictor against the cold
+and measures single-thread simulation (the scalar loop against the
+block-batched numpy kernels), the analytic predictor against the cold
 simulated service cell (budget: >=100x), plus the wall-clock of the
 static verifier (``python -m repro lint``) over the full suite.
-Results are written
-to ``BENCH_sweep.json`` next to this script's repo root so future PRs
-have a perf trajectory to compare against.
+A full run writes its results to ``BENCH_sweep.json`` at the repo
+root; a ``--smoke`` run writes a report only when ``--output`` is
+given, so CI-sized numbers never overwrite the tracked file.
 
 Usage::
 
@@ -39,7 +37,6 @@ from repro.compiler.verify.lint import lint_registry  # noqa: E402
 from repro.core.experiment import simulate_trace  # noqa: E402
 from repro.core.runner import run_suite  # noqa: E402
 from repro.core.runstore import RunStore  # noqa: E402
-from repro.locality.mrc import distance_histogram  # noqa: E402
 from repro.params import SENSITIVITY_CONFIGS  # noqa: E402
 from repro.telemetry import Telemetry  # noqa: E402
 from repro.tracegen.interpreter import TraceGenerator  # noqa: E402
@@ -179,27 +176,19 @@ def bench_sweep_resume(scale, benchmarks, configs, reference, serial_seconds):
     }
 
 
-def bench_packed(scale, benchmark):
-    """Single-thread object vs scalar-packed vs vectorized simulation.
+def bench_vectorized(scale, benchmark):
+    """Single-thread scalar-loop vs vectorized simulation.
 
-    Returns two report dicts: the legacy packed-vs-objects comparison
-    (``vectorize=False`` pins the scalar columnar loop so the numbers
-    stay comparable across PRs) and the ``simulate_vectorized`` entry
-    for the block-batched numpy kernels, measured on the same trace and
-    checked bit-identical against both scalar paths.  The vectorized
-    entry also times ``pure_hw`` with each assist in ``ASSIST_LEGS``
+    ``vectorize=False`` pins the scalar columnar loop and
+    ``vectorize=True`` forces the block-batched numpy kernels on the
+    same packed trace; the two results must be bit-identical.  The
+    report also times ``pure_hw`` with each assist in ``ASSIST_LEGS``
     (the same trace with that assist always on), scalar vs vectorized.
     """
     spec = get_spec(benchmark)
-
-    obj_trace, obj_gen_s = _time(
-        lambda: TraceGenerator(spec.instantiate(scale), trace_name="o").generate()
-    )
-    packed_trace, packed_gen_s = _time(
-        lambda: TraceGenerator(
-            spec.instantiate(scale), trace_name="o"
-        ).generate_packed()
-    )
+    packed_trace = TraceGenerator(
+        spec.instantiate(scale), trace_name="o"
+    ).generate_packed()
 
     machine_builder = SENSITIVITY_CONFIGS["Base Confg."]
 
@@ -215,7 +204,6 @@ def bench_packed(scale, benchmark):
         )
 
     legs = {
-        "obj": partial(simulate, obj_trace),
         "scalar": partial(simulate, packed_trace, vectorize=False),
         "vector": partial(simulate, packed_trace, vectorize=True),
     }
@@ -232,37 +220,17 @@ def bench_packed(scale, benchmark):
         for name, leg in legs.items():
             results[name], seconds = _time(leg)
             times[name] = min(times[name], seconds)
-    obj_result, obj_sim_s = results["obj"], times["obj"]
-    packed_result, packed_sim_s = results["scalar"], times["scalar"]
-    vector_result, vector_sim_s = results["vector"], times["vector"]
+    scalar_s, vector_s = times["scalar"], times["vector"]
 
-    packed_report = {
+    report = {
         "benchmark": benchmark,
         "records": len(packed_trace),
-        "object_generate_seconds": round(obj_gen_s, 3),
-        "packed_generate_seconds": round(packed_gen_s, 3),
-        "generate_speedup": round(obj_gen_s / packed_gen_s, 3)
-        if packed_gen_s
+        "scalar_simulate_seconds": round(scalar_s, 3),
+        "vectorized_simulate_seconds": round(vector_s, 3),
+        "speedup_vs_scalar": round(scalar_s / vector_s, 3)
+        if vector_s
         else None,
-        "object_simulate_seconds": round(obj_sim_s, 3),
-        "packed_simulate_seconds": round(packed_sim_s, 3),
-        "simulate_speedup": round(obj_sim_s / packed_sim_s, 3)
-        if packed_sim_s
-        else None,
-        "results_identical": obj_result == packed_result,
-    }
-    vector_report = {
-        "benchmark": benchmark,
-        "records": len(packed_trace),
-        "scalar_simulate_seconds": round(packed_sim_s, 3),
-        "vectorized_simulate_seconds": round(vector_sim_s, 3),
-        "speedup_vs_objects": round(obj_sim_s / vector_sim_s, 3)
-        if vector_sim_s
-        else None,
-        "speedup_vs_scalar": round(packed_sim_s / vector_sim_s, 3)
-        if vector_sim_s
-        else None,
-        "results_identical": obj_result == packed_result == vector_result
+        "results_identical": results["scalar"] == results["vector"]
         and all(
             results[f"{mechanism}_scalar"] == results[f"{mechanism}_vector"]
             for mechanism in ASSIST_LEGS
@@ -271,38 +239,12 @@ def bench_packed(scale, benchmark):
     for mechanism in ASSIST_LEGS:
         scalar_s = times[f"{mechanism}_scalar"]
         vector_s = times[f"{mechanism}_vector"]
-        vector_report[f"{mechanism}_scalar_seconds"] = round(scalar_s, 3)
-        vector_report[f"{mechanism}_vectorized_seconds"] = round(vector_s, 3)
-        vector_report[f"{mechanism}_speedup"] = (
+        report[f"{mechanism}_scalar_seconds"] = round(scalar_s, 3)
+        report[f"{mechanism}_vectorized_seconds"] = round(vector_s, 3)
+        report[f"{mechanism}_speedup"] = (
             round(scalar_s / vector_s, 3) if vector_s else None
         )
-    return packed_report, vector_report
-
-
-def bench_mrc(scale, benchmark):
-    """Time the reuse-distance/MRC engine: packed vs object trace path."""
-    spec = get_spec(benchmark)
-    packed_trace = TraceGenerator(
-        spec.instantiate(scale), trace_name="m"
-    ).generate_packed()
-    object_trace = packed_trace.to_trace()
-
-    obj_histogram, obj_s = _time(lambda: distance_histogram(object_trace))
-    packed_histogram, packed_s = _time(
-        lambda: distance_histogram(packed_trace)
-    )
-    curve = packed_histogram.curve()
-
-    return {
-        "benchmark": benchmark,
-        "memory_refs": packed_histogram.total,
-        "distinct_lines": packed_histogram.cold,
-        "object_seconds": round(obj_s, 3),
-        "packed_seconds": round(packed_s, 3),
-        "packed_speedup": round(obj_s / packed_s, 3) if packed_s else None,
-        "mrc_points": len(curve.sizes()),
-        "results_identical": obj_histogram == packed_histogram,
-    }
+    return report
 
 
 def bench_telemetry(scale, benchmark, repeats=3):
@@ -473,8 +415,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--output",
         type=Path,
-        default=REPO_ROOT / "BENCH_sweep.json",
-        help="where to write the JSON report",
+        default=None,
+        help="where to write the JSON report (default: BENCH_sweep.json "
+        "at the repo root, except for --smoke runs, which write none)",
     )
     args = parser.parse_args(argv)
 
@@ -514,20 +457,13 @@ def main(argv=None) -> int:
         f"identical={resume['results_identical']}"
     )
 
-    packed, vectorized = bench_packed(scale, benchmarks[0])
+    vectorized = bench_vectorized(scale, benchmarks[0])
     print(
-        f"packed vs objects on {packed['benchmark']} "
-        f"({packed['records']} records): "
-        f"generate {packed['generate_speedup']}x, "
-        f"simulate {packed['simulate_speedup']}x, "
-        f"identical={packed['results_identical']}"
-    )
-    print(
-        f"vectorized kernels on {vectorized['benchmark']}: "
+        f"vectorized kernels on {vectorized['benchmark']} "
+        f"({vectorized['records']} records): "
         f"scalar {vectorized['scalar_simulate_seconds']}s, "
         f"vectorized {vectorized['vectorized_simulate_seconds']}s "
-        f"-> {vectorized['speedup_vs_objects']}x vs objects "
-        f"({vectorized['speedup_vs_scalar']}x vs scalar packed); "
+        f"-> {vectorized['speedup_vs_scalar']}x; "
         + "".join(
             f"pure_hw/{mechanism} scalar "
             f"{vectorized[f'{mechanism}_scalar_seconds']}s, vectorized "
@@ -536,14 +472,6 @@ def main(argv=None) -> int:
             for mechanism in ASSIST_LEGS
         )
         + f"identical={vectorized['results_identical']}"
-    )
-
-    mrc = bench_mrc(scale, benchmarks[0])
-    print(
-        f"MRC engine on {mrc['benchmark']} "
-        f"({mrc['memory_refs']} refs, {mrc['distinct_lines']} lines): "
-        f"object {mrc['object_seconds']}s, packed {mrc['packed_seconds']}s "
-        f"-> {mrc['packed_speedup']}x, identical={mrc['results_identical']}"
     )
 
     telemetry = bench_telemetry(scale, benchmarks[0])
@@ -598,32 +526,32 @@ def main(argv=None) -> int:
         "configs": list(configs),
         "sweep": sweep,
         "sweep_resume": resume,
-        "packed_vs_objects": packed,
         "simulate_vectorized": vectorized,
-        "mrc_engine": mrc,
         "telemetry_overhead": telemetry,
         "service": service,
         "analytic_predict": analytic,
         "verify": verify,
         "dependence": dependence,
     }
-    args.output.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {args.output}")
+    output = args.output
+    if output is None and not args.smoke:
+        output = REPO_ROOT / "BENCH_sweep.json"
+    if output is not None:
+        output.write_text(json.dumps(report, indent=2) + "\n")
+        print(f"wrote {output}")
 
     if not (
         sweep["results_identical"]
         and resume["results_identical"]
-        and packed["results_identical"]
         and vectorized["results_identical"]
-        and mrc["results_identical"]
         and telemetry["results_identical"]
         and service["results_identical"]
         and analytic["within_budget"]
         and verify["clean"]
     ):
         print(
-            "ERROR: parallel, resume, packed, vectorized, MRC, telemetry, "
-            "service, analytic-predict, or lint results diverged",
+            "ERROR: parallel, resume, vectorized, telemetry, service, "
+            "analytic-predict, or lint results diverged",
             file=sys.stderr,
         )
         return 1
