@@ -12,7 +12,7 @@ Two evaluation modes exist:
   reuse distances are derived symbolically from loop bounds, strides,
   and layouts (O(IR size), milliseconds for the whole suite).
 * :mod:`repro.analytic.walk` — the exact reference.  The program is
-  run through the trace pipeline itself (the interpreter's packed
+  run through the trace pipeline itself (the executor's packed
   trace into the reuse-stack histogram and per-region profiles), which
   is how the closed-form model is validated (tested in
   ``tests/analytic``).

@@ -1,7 +1,7 @@
 """Exact reference histograms for the closed-form model.
 
 The closed-form model (:mod:`repro.analytic.model`) is judged against
-the trace pipeline itself: the program is interpreted by
+the trace pipeline itself: the program is executed by
 :class:`repro.tracegen.interpreter.TraceGenerator` and the packed trace
 is run through the same reuse-stack consumers the simulator-side
 locality tools use.  These wrappers exist so model tests and callers
@@ -21,7 +21,7 @@ __all__ = ["walk_histogram", "walk_profile"]
 def walk_histogram(program: Program, line_size: int = 32) -> DistanceHistogram:
     """Exact whole-program stack-distance histogram.
 
-    ``distance_histogram`` of the interpreter's trace of ``program``.
+    ``distance_histogram`` of the executor's trace of ``program``.
     """
     trace = TraceGenerator(program).generate_packed()
     return distance_histogram(trace, line_size)
@@ -34,7 +34,7 @@ def walk_profile(
 ) -> LocalityProfile:
     """Exact per-region locality profile.
 
-    ``split_profiles`` of the interpreter's trace of ``program`` — one
+    ``split_profiles`` of the executor's trace of ``program`` — one
     shared LRU stack, distances binned into the dynamic region they
     occur in.
     """

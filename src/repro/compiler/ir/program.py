@@ -20,7 +20,7 @@ class Program:
     Programs are the unit the paper's framework operates on: region
     detection annotates the loops, the locality optimizer rewrites the
     analyzable nests, marker insertion adds ON/OFF statements, and the
-    interpreter (:mod:`repro.tracegen`) executes the result into a
+    executor (:mod:`repro.tracegen`) runs the result into a
     trace.
     """
 

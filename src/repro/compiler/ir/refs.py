@@ -20,7 +20,7 @@ address(es) it touches, which is how traces are generated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -286,15 +286,20 @@ class IndexedRef(Reference):
     def array_name(self) -> str:
         return self.array.name
 
-    def addresses(self, bindings: Mapping[str, int]) -> tuple[int, int]:
-        """(index-load address, data address)."""
+    def addresses(self, bindings: Mapping[str, Any]) -> tuple[Any, Any]:
+        """(index-load address, data address).
+
+        Bindings may be numpy vectors of iteration points; the data
+        access is then one gather and both addresses come back as
+        vectors.
+        """
         index_array = self.index.array
         if index_array.data is None:
             raise ValueError(
                 f"index array {index_array.name} has no run-time data"
             )
-        index_indices = [s.eval(bindings) for s in self.index.subscripts]
-        value = int(index_array.data[tuple(index_indices)])
+        index_indices = tuple(s.eval(bindings) for s in self.index.subscripts)
+        value = np.asarray(index_array.data[index_indices]).astype(np.int64)
         target = value * self.scale + self.offset
         target %= self.array.element_count  # defensive wrap for tests
         return (
@@ -311,7 +316,7 @@ class PointerChaseRef(Reference):
     """A pointer dereference walking a linked structure (``*H``, ``K->f``).
 
     The chase keeps per-``chain`` state (the current node id) in the
-    interpreter; each execution touches the node's field at
+    trace executor; each execution touches the node's field at
     ``field_offset`` and then follows ``array.data[node]`` to the next
     node.  ``array.data`` must hold the successor ids (a permutation or
     list structure built by the workload).

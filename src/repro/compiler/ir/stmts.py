@@ -50,7 +50,7 @@ class Statement:
 class MarkerStmt:
     """An activate (ON) or deactivate (OFF) instruction (Section 2.2).
 
-    Inserted by :mod:`repro.compiler.regions.markers`; the interpreter
+    Inserted by :mod:`repro.compiler.regions.markers`; the executor
     turns it into a HW_ON / HW_OFF trace record which toggles the
     hardware mechanism at run time and costs one issue slot.
     """

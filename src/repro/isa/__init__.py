@@ -2,7 +2,7 @@
 
 The paper extends SimpleScalar's instruction set with activate and
 deactivate instructions (Section 4.1).  Our simulator is trace driven:
-workloads (via the IR interpreter in :mod:`repro.tracegen`) produce a
+workloads (via the IR executor in :mod:`repro.tracegen`) produce a
 :class:`Trace` of :class:`Instruction` records — loads, stores,
 compressed ALU bursts, branches, and the HW_ON/HW_OFF markers — which
 :mod:`repro.cpu` then times against a memory hierarchy.

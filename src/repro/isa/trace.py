@@ -5,7 +5,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.isa.instructions import Instruction, Opcode
 from repro.isa.packed import PackedTrace
@@ -78,10 +78,6 @@ class TraceBuilder:
         self._pcs = array("q")
         self._pc = 0x1000
 
-    @property
-    def current_pc(self) -> int:
-        return self._pc
-
     def set_pc(self, pc: int) -> None:
         self._pc = pc
 
@@ -110,12 +106,6 @@ class TraceBuilder:
 
     def hw_off(self) -> None:
         self._emit(Opcode.HW_OFF, 0)
-
-    def append_all(self, instructions: Iterable[Instruction]) -> None:
-        for op, arg, pc in instructions:
-            self._ops.append(op)
-            self._args.append(arg)
-            self._pcs.append(pc)
 
     def build(self) -> Trace:
         return Trace(
