@@ -140,6 +140,11 @@ def model_tiling(
     the optimizer pipeline: same legality checks, same
     :class:`TilingResult`, but the edge comes from the search above.
     """
+    # Only the trip-count check depends on the edge: any other blocker
+    # refuses every candidate, so report it without searching.
+    blocker = tiling_blockers(nest_head, l1_bytes)
+    if blocker is not None and not blocker.startswith("trip count"):
+        return TilingResult(False, reason=blocker)
     search = choose_tile_size(nest_head, l1_bytes, line_size)
     if search is None:
         return apply_tiling(nest_head, l1_bytes)
