@@ -61,10 +61,11 @@ def simulate_trace(
     :class:`repro.telemetry.hub.Telemetry` hub; observation is passive,
     so the returned result is bit-identical either way.
 
-    ``vectorize`` forwards to :class:`CPUSimulator`: None picks the
-    fastest eligible path automatically, False pins the scalar loop,
-    True forces the numpy kernels (benchmarks and equivalence tests).
-    All three settings produce bit-identical results.
+    ``vectorize`` forwards to :class:`CPUSimulator`: None runs the
+    numpy kernels (markers and short spans step through the scalar
+    loop), False pins the scalar loop, True forces the kernels onto
+    short spans too (benchmarks and equivalence tests).  All three
+    settings produce bit-identical results and telemetry.
     """
     assist = make_assist(mechanism, machine) if mechanism else None
     hierarchy = MemoryHierarchy(machine, assist, classify_misses)

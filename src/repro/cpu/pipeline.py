@@ -45,8 +45,8 @@ Object traces are packed once on entry, so both loops read columns.
 memory system depends on simulated *time* — caches, TLBs and the
 branch predictor are deterministic state machines driven purely by the
 access *sequence*, and the timing recurrence reads their outcomes but
-never feeds cycles back into them (interval-sampling telemetry, which
-does observe counters at cycle boundaries, forces the scalar path).
+never feeds cycles back into them (interval-sampling telemetry only
+reads counters, and the vector path rebuilds its samples per span).
 The vector path therefore splits each HW_ON/HW_OFF-delimited segment
 into two phases: a replay phase that resolves every cache/TLB/branch
 outcome in bulk (grouping accesses by set, where LRU evolution is
@@ -127,7 +127,9 @@ class _PackedState:
         "next_sample",
     )
 
-    def __init__(self, machine: MachineParams, sample_step: int = 0):
+    def __init__(
+        self, machine: MachineParams, telemetry: Optional["Telemetry"] = None
+    ):
         self.issue_cycle = 0  # cycle currently being filled with issues
         self.slot = 0  # issue slots used in issue_cycle
         self.last_done = 0  # completion time of the latest-finishing op
@@ -142,7 +144,9 @@ class _PackedState:
         self.stores = 0
         self.branches = 0
         self.current_ifetch_line = -1
-        self.next_sample = sample_step if sample_step > 0 else None
+        #: Issue cycle of the next interval sample; None when not sampling.
+        step = telemetry.interval if telemetry is not None else 0
+        self.next_sample = step if step > 0 else None
 
 
 class CPUSimulator:
@@ -163,19 +167,20 @@ class CPUSimulator:
         self.predictor = BimodalPredictor(machine.bimodal_entries)
         self.model_ifetch = model_ifetch
         self.telemetry = telemetry
-        #: None = use the vector kernels when the run is eligible;
-        #: True/False force the choice (used by the equivalence tests).
+        #: None = the vector kernels, with the scalar loop for markers
+        #: and short spans; True forces the kernels onto short spans
+        #: too; False pins the scalar loop (the equivalence tests'
+        #: oracle).
         self.vectorize = vectorize
 
     def run(self, trace: AnyTrace) -> SimulationResult:
         """Simulate the whole trace; return cycles and statistics.
 
         Object traces are packed first.  The run takes the
-        block-batched vector path when eligible and the scalar columnar
-        loop otherwise; both produce bit-identical results (pinned by
-        ``tests/cpu/test_packed_equivalence.py``) — any change to the
-        timing model must be made to both, and ``vectorize=False`` pins
-        the scalar loop.
+        block-batched vector path unless ``vectorize=False`` pins the
+        scalar columnar loop; both produce bit-identical results and
+        telemetry (pinned by ``tests/cpu/test_packed_equivalence.py``)
+        — any change to the timing model must be made to both.
 
         An attached telemetry hub only *reads* simulator and hierarchy
         counters, so results are bit-identical with or without one
@@ -189,24 +194,11 @@ class CPUSimulator:
             )
             self.gate.telemetry = self.telemetry
         trace = as_packed(trace)
-        if self._vector_eligible():
-            from repro.cpu.vector import run_vectorized
-
-            return run_vectorized(self, trace)
-        return self._run_packed(trace)
-
-    def _vector_eligible(self) -> bool:
-        """Whether this run may use the block-batched numpy kernels.
-
-        Interval-sampling telemetry reads hierarchy counters at cycle
-        thresholds *interleaved* with the access stream, which the
-        phase-split kernels cannot honour — those runs use the scalar
-        loop.  (An ``interval=0`` hub only observes segment boundaries
-        and final totals, which the vector driver reports identically.)
-        """
         if self.vectorize is False:
-            return False
-        return self.telemetry is None or self.telemetry.interval <= 0
+            return self._run_packed(trace)
+        from repro.cpu.vector import run_vectorized
+
+        return run_vectorized(self, trace)
 
     def _run_packed(self, trace: PackedTrace) -> SimulationResult:
         """Scalar path over the whole trace.
@@ -214,9 +206,7 @@ class CPUSimulator:
         The loop body lives in :meth:`_run_packed_range` so the vector
         driver can run the same code over fallback segments mid-trace.
         """
-        telemetry = self.telemetry
-        sample_step = telemetry.interval if telemetry is not None else 0
-        state = _PackedState(self.machine, sample_step)
+        state = _PackedState(self.machine, self.telemetry)
         ops, args, pcs = trace.columns()
         self._run_packed_range(state, ops, args, pcs, 0, len(ops))
         return self._finalize_packed(trace.name, state)

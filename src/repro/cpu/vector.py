@@ -33,6 +33,17 @@ Marker records and spans under ``MIN_VECTOR_SPAN`` execute through the
 scalar ``_run_packed_range`` against the same shared ``_PackedState``,
 so the two execution styles alternate freely mid-trace.
 
+Interval-sampling telemetry takes this path too.  A sample reads the
+hierarchy's counters when the issue cycle crosses a threshold, so it
+needs each counter's value and the issue cycle at record boundaries.
+The replay phase returns every sampled counter's increments keyed by
+record.  The issue clock moves in closed form between the events that
+rebase it, so the timing phase only checks, at each rebase, whether
+the run of records it closes reached the next threshold, and keeps
+those runs.  :func:`_sample_span` rebuilds from both the rows the
+scalar loop would append, and ``next_sample`` rides in
+``_PackedState`` across scalar and vector spans.
+
 Port arbitration note: the scalar loop picks the earliest-free port
 with a linear scan.  Here the ports are a sorted ring rotated FIFO —
 because access start times are non-decreasing within a span, the port
@@ -47,6 +58,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.isa.instructions import Opcode
+from repro.memory.bulk import steps_before
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cpu.pipeline import CPUSimulator, _PackedState
@@ -81,7 +93,7 @@ def run_vectorized(sim: "CPUSimulator", trace: "PackedTrace"):
     """
     from repro.cpu.pipeline import _PackedState
 
-    state = _PackedState(sim.machine)
+    state = _PackedState(sim.machine, sim.telemetry)
     ops, args, pcs = trace.numpy_columns()
     raw_cols = trace.columns()
     n = ops.size
@@ -110,9 +122,16 @@ def _run_span(sim, state, ops, args, pcs, raw_cols, lo, hi, force):
 
 
 def _simulate_span(sim, state: "_PackedState", ops, args, pcs) -> None:
-    """Two-phase (replay, then timing) execution of one span."""
+    """Two-phase (replay, then timing) execution of one span.
+
+    With interval sampling on, the replay also returns each sampled
+    counter's increments by record, the timing phase keeps the runs of
+    records in which its issue clock crosses a sampling threshold, and
+    :func:`_sample_span` turns both into the span's sample rows.
+    """
     machine = sim.machine
     n = ops.size
+    sampling = state.next_sample is not None
 
     # ---- issue-slot costs per record ------------------------------------
     is_alu = ops == _ALU
@@ -136,8 +155,10 @@ def _simulate_span(sim, state: "_PackedState", ops, args, pcs) -> None:
     is_mem = (ops == _LOAD) | (ops == _STORE)
     mem_rel = np.nonzero(is_mem)[0]
     writes = ops[mem_rel] == _STORE
-    latency, refill, stall = sim.hierarchy.bulk_classify(
-        args[mem_rel], writes, mem_rel, fetch_pcs, fetch_rel
+    entry_counters = sim.hierarchy.sample_counters() if sampling else None
+    latency, refill, stall, counters = sim.hierarchy.bulk_classify(
+        args[mem_rel], writes, mem_rel, fetch_pcs, fetch_rel,
+        sample=sampling,
     )
 
     br_rel = np.nonzero(ops == _BRANCH)[0]
@@ -163,8 +184,8 @@ def _simulate_span(sim, state: "_PackedState", ops, args, pcs) -> None:
     # on the sparse side and one linear merge copy.
     #
     # ``ev_code`` packs the event kind: 0/1/2 = memory op with that
-    # refill class, 3 = issue-clock rebase (stall or mispredict, with
-    # the added cycles carried in ``ev_lat``).
+    # refill class, 3/4 = issue-clock rebase for a mispredict/stall,
+    # with the added cycles carried in ``ev_lat``.
     width = machine.issue_width
     mispredict_penalty = machine.branch_mispredict_penalty
     n_stall, n_mem, n_miss = stall_rel.size, mem_rel.size, miss_rel.size
@@ -173,6 +194,7 @@ def _simulate_span(sim, state: "_PackedState", ops, args, pcs) -> None:
         rebase_lat = np.concatenate(
             (stall_vals, np.full(n_miss, mispredict_penalty, np.int64))
         )
+        rebase_code = np.repeat(np.array([4, 3]), (n_stall, n_miss))
         rebase_cum = cum_slots[rebase_rel]
         if n_stall:
             rebase_cum[:n_stall] -= slots[stall_rel]
@@ -187,7 +209,8 @@ def _simulate_span(sim, state: "_PackedState", ops, args, pcs) -> None:
         ev_lat = np.empty(total, dtype=np.int64)
         ev_lat[new_pos] = rebase_lat[ro]
         ev_lat[old_mask] = latency
-        ev_code = np.full(total, 3, dtype=np.int64)
+        ev_code = np.empty(total, dtype=np.int64)
+        ev_code[new_pos] = rebase_code[ro]
         ev_code[old_mask] = refill
         ev_cum = np.empty(total, dtype=np.int64)
         ev_cum[new_pos] = rebase_cum[ro]
@@ -217,6 +240,29 @@ def _simulate_span(sim, state: "_PackedState", ops, args, pcs) -> None:
     mshr_count = len(mshr_done)
     mshr_index = state.mshr_index
     last_done = state.last_done
+    # Interval sampling, in scaled units (cycle * width + slot).  Each
+    # change of ``clk`` closes a segment of records that share one
+    # ``clk``: those whose slot count before them lies in ``[seg_key,
+    # key)``, where the change's key is a memory op's or mispredict's
+    # ``cum`` and one past a front-end stall's (code 4 marks stalls;
+    # the stalled record itself is checked for a sample before it
+    # stalls).  A closed segment's last record sits at ``key - 1``, so
+    # its clock peaks at ``clk + key - 1``; a segment whose peak reaches
+    # the next threshold ``watch`` is where the scalar loop samples
+    # (see _sample_span), and only such segments are kept.  A stall
+    # and a memory op or mispredict in one single-slot record leave an
+    # empty segment between them (``key == seg_key``), which is skipped.
+    crossings = []
+    seg_key = 0
+    if sampling:
+        period = sim.telemetry.interval * width
+        watch = state.next_sample * width
+
+        def crossed(key, clk, watch, peak):
+            """Keep a segment; return the threshold after its samples,
+            the next multiple of the interval past its peak."""
+            crossings.append((key, clk, watch, peak))
+            return (peak // period + 1) * period
 
     # Two specialisations of the same event loop: issue widths are
     # powers of two on every machine in Table 1, where ``// width``
@@ -231,6 +277,10 @@ def _simulate_span(sim, state: "_PackedState", ops, args, pcs) -> None:
                 pending = lsq_done[lsq_index]
                 if pending > issue:
                     issue = pending
+                    if sampling:
+                        if clk + cum > watch and cum > seg_key:
+                            watch = crossed(seg_key, clk, watch, clk + cum - 1)
+                        seg_key = cum
                     clk = (issue << shift) - cum
                 free = ring[port_index]
                 start = issue if issue > free else free
@@ -261,7 +311,12 @@ def _simulate_span(sim, state: "_PackedState", ops, args, pcs) -> None:
                     lsq_index = 0
                 if done > last_done:
                     last_done = done
-            else:  # issue-clock rebase: front-end stall or mispredict
+            else:  # issue-clock rebase: mispredict or front-end stall
+                if sampling:
+                    key = cum + code - 3
+                    if clk + key > watch and key > seg_key:
+                        watch = crossed(seg_key, clk, watch, clk + key - 1)
+                    seg_key = key
                 clk = ((((clk + cum) >> shift) + lat) << shift) - cum
     else:
         for code, lat, cum in ev_iter:
@@ -270,6 +325,10 @@ def _simulate_span(sim, state: "_PackedState", ops, args, pcs) -> None:
                 pending = lsq_done[lsq_index]
                 if pending > issue:
                     issue = pending
+                    if sampling:
+                        if clk + cum > watch and cum > seg_key:
+                            watch = crossed(seg_key, clk, watch, clk + cum - 1)
+                        seg_key = cum
                     clk = issue * width - cum
                 free = ring[port_index]
                 start = issue if issue > free else free
@@ -300,8 +359,25 @@ def _simulate_span(sim, state: "_PackedState", ops, args, pcs) -> None:
                     lsq_index = 0
                 if done > last_done:
                     last_done = done
-            else:  # issue-clock rebase: front-end stall or mispredict
+            else:  # issue-clock rebase: mispredict or front-end stall
+                if sampling:
+                    key = cum + code - 3
+                    if clk + key > watch and key > seg_key:
+                        watch = crossed(seg_key, clk, watch, clk + key - 1)
+                    seg_key = key
                 clk = ((clk + cum) // width + lat) * width - cum
+
+    if sampling:
+        # The last segment ends at the span's last record.
+        last = int(cum_slots[-1] - slots[-1])
+        if last >= seg_key and clk + last >= watch:
+            watch = crossed(seg_key, clk, watch, clk + last)
+        if crossings:
+            _sample_span(
+                sim, state, cum_slots, crossings, period, entry_counters,
+                counters,
+            )
+        state.next_sample = watch // width
 
     # ---- write the span's end state back --------------------------------
     end = int(cum_slots[-1])
@@ -319,3 +395,42 @@ def _simulate_span(sim, state: "_PackedState", ops, args, pcs) -> None:
     state.branches += br_rel.size
     if sim.model_ifetch:
         state.current_ifetch_line = int(lines[-1])
+
+
+def _sample_span(
+    sim, state, cum_slots, crossings, period, entry_counters, counters
+):
+    """Append the interval samples the scalar loop takes over one span.
+
+    The scalar loop checks before each record whether its issue cycle
+    has reached the next threshold, takes at most one sample there and
+    moves the threshold to the next multiple of the interval.  Each
+    ``(key, clk, watch, peak)`` of ``crossings`` is a run of records
+    sharing ``clk`` whose scaled clock ``clk + c`` (``c`` the slot count
+    before a record, from ``key`` on) first reaches the threshold
+    ``watch`` and ends at ``peak``.  Its thresholds are ``watch`` and
+    each later multiple of ``period`` up to ``peak``, and a threshold's
+    sample is the first record with ``c >= max(key, threshold - clk)``.
+    A record that reaches several thresholds at once is sampled once.
+    Counters are their span-entry values plus the increments of the
+    earlier records.
+    """
+    key, clk, watch, peak = np.array(crossings, dtype=np.int64).T
+    counts = 1 + peak // period - watch // period
+    seg = np.repeat(np.arange(counts.size), counts)
+    rank = np.arange(seg.size) - (np.cumsum(counts) - counts)[seg]
+    thresholds = np.where(
+        rank > 0, (watch[seg] // period + rank) * period, watch[seg]
+    )
+    before = np.concatenate(([0], cum_slots[:-1]))
+    rows = np.searchsorted(before, np.maximum(key[seg], thresholds - clk[seg]))
+    first = np.concatenate(([True], rows[1:] != rows[:-1]))
+    rows, seg = rows[first], seg[first]
+    sim.telemetry.sample_rows(
+        ((clk[seg] + before[rows]) // sim.machine.issue_width).tolist(),
+        (state.instructions + before[rows]).tolist(),
+        [
+            (value + steps_before(steps, rows)).tolist()
+            for value, steps in zip(entry_counters, counters)
+        ],
+    )

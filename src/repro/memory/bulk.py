@@ -71,6 +71,8 @@ import numpy as np
 from repro.memory.block import CacheBlock
 
 __all__ = [
+    "counter_steps",
+    "steps_before",
     "replay_tlb",
     "replay_cache",
     "replay_l2",
@@ -119,6 +121,40 @@ def _set_order(sets: np.ndarray, num_sets: int):
     set_ids = np.nonzero(counts)[0]
     seg_starts = (np.cumsum(counts) - counts)[set_ids]
     return order, seg_starts, set_ids
+
+
+def counter_steps(pos: np.ndarray, weights=None):
+    """One sampled counter's increments over a span, as a step function.
+
+    ``pos`` holds the record position of each increment and ``weights``
+    its size (None: one each).  Returns ``(pos, cum)`` sorted by
+    position, with ``cum[k]`` the sum of the first ``k`` increments
+    (None when they are all one, as ``cum[k]`` is then ``k``); see
+    :func:`steps_before`.
+    """
+    if (pos[1:] < pos[:-1]).any():
+        if weights is None:
+            pos = np.sort(pos)
+        else:
+            order = np.argsort(pos, kind="stable")
+            pos, weights = pos[order], weights[order]
+    if weights is None:
+        return pos, None
+    cum = np.zeros(pos.size + 1, dtype=np.int64)
+    np.cumsum(weights, out=cum[1:])
+    return pos, cum
+
+
+def steps_before(steps, records: np.ndarray) -> np.ndarray:
+    """A counter's change over the records before each of ``records``.
+
+    ``steps`` comes from :func:`counter_steps`.  An interval sample is
+    taken before its record runs, so only increments at earlier
+    positions count (``side='left'``).
+    """
+    pos, cum = steps
+    k = np.searchsorted(pos, records)
+    return k if cum is None else cum[k]
 
 
 def _fast_path_lines(seg: np.ndarray, resident, assoc: int):
@@ -550,19 +586,21 @@ def replay_l2(cache, memory, lines: np.ndarray, kinds: np.ndarray):
     ``MemoryHierarchy._access_l2`` / ``_writeback_to_l2`` with no
     assist attached.
 
-    Returns ``(hit, miss_idx, evicted, evicted_dirty)``: per-event hit
-    flags in input order (meaningful for demand events; writeback
-    entries are padding), the input indices of the demand misses (not
-    in input order), and aligned with them the line each miss's fill
-    evicted and its dirty bit (as in :func:`replay_cache`).  Updates
-    L2 statistics and the DRAM read/write counters as if no assist
-    were attached (:func:`filter_victims` callers correct them).
+    Returns ``(hit, miss_idx, evicted, evicted_dirty, absent_idx)``:
+    per-event hit flags in input order (meaningful for demand events;
+    writeback entries are padding), the input indices of the demand
+    misses (not in input order), aligned with them the line each
+    miss's fill evicted and its dirty bit (as in :func:`replay_cache`),
+    and the input indices of the writebacks that missed L2 and went
+    to DRAM (not in input order).  Updates L2 statistics and the DRAM
+    read/write counters as if no assist were attached
+    (:func:`filter_victims` callers correct them).
     Shadow classification is left to :func:`replay_shadow` on the
     demand sub-stream.
     """
     n = lines.size
     if n == 0:
-        return _EMPTY_BOOL, _EMPTY_I64, _EMPTY_I64, _EMPTY_BOOL
+        return _EMPTY_BOOL, _EMPTY_I64, _EMPTY_I64, _EMPTY_BOOL, _EMPTY_I64
     mask = cache._set_mask
     num_sets = cache._num_sets
     sets = lines & mask if mask >= 0 else lines % num_sets
@@ -575,7 +613,9 @@ def replay_l2(cache, memory, lines: np.ndarray, kinds: np.ndarray):
 
     assoc = cache._assoc
     cache_sets = cache._sets
-    hits = absent_writebacks = 0
+    hits = 0
+    absent: list = []
+    absent_append = absent.append
     # Per demand miss, as in replay_cache.
     miss_rep: list = []
     miss_append = miss_rep.append
@@ -618,7 +658,7 @@ def replay_l2(cache, memory, lines: np.ndarray, kinds: np.ndarray):
                         hits += 1
                 elif wb:
                     # Absent writeback bypasses the cache entirely.
-                    absent_writebacks += 1
+                    absent_append(i)
                 else:
                     if d0:  # empty ways are (-1, False)
                         dirty_append(i)
@@ -645,7 +685,7 @@ def replay_l2(cache, memory, lines: np.ndarray, kinds: np.ndarray):
             if prev is _MISS:
                 if wb:
                     # Absent writeback bypasses the cache entirely.
-                    absent_writebacks += 1
+                    absent_append(i)
                 else:
                     if size >= assoc:
                         victim = next(iter(lru))
@@ -677,7 +717,7 @@ def replay_l2(cache, memory, lines: np.ndarray, kinds: np.ndarray):
     stats.evictions += int(np.count_nonzero(evicted >= 0))
     stats.writebacks += writebacks
     memory.reads += len(miss_rep)
-    memory.writes += absent_writebacks + writebacks
+    memory.writes += len(absent) + writebacks
 
     miss_rep_arr = np.array(miss_rep, dtype=np.int64)
     hit_sorted = np.ones(n, dtype=bool)
@@ -689,6 +729,7 @@ def replay_l2(cache, memory, lines: np.ndarray, kinds: np.ndarray):
         order[miss_rep_arr],
         evicted,
         _dirty_mask(miss_rep_arr, dirty_rep),
+        order[np.array(absent, dtype=np.int64)],
     )
 
 
@@ -721,11 +762,14 @@ def filter_victims(
     writeback counter and the dirty bits of promoted lines still
     resident at the end.
 
-    Returns ``(hit, spill_idx, spill_lines, unprobed_dirty)``: per-miss
-    victim-hit flags; the miss indices whose insertion displaced a
-    dirty victim-cache line and those lines (each needs a writeback to
-    the next level); and the number of dirty evictions by misses that
-    do not use the victim cache (each is written straight back).
+    Returns ``(hit, spill_idx, spill_lines, unprobed_idx, grow_idx)``:
+    per-miss victim-hit flags; the miss indices whose insertion
+    displaced a dirty victim-cache line and those lines (each needs a
+    writeback to the next level); the indices of the misses that do not
+    use the victim cache and evict a dirty line (each is written
+    straight back); and the indices of the misses whose insertion took
+    a free entry.  The victim cache's occupancy changes by one per
+    entry of ``grow_idx`` and minus one per hit.
     """
     n = miss_lines.size
     # Working LRU: line -> dirty flag, insertion order = LRU order (as
@@ -738,7 +782,9 @@ def filter_victims(
     hit_idx: list = []
     spill_idx: list = []
     spill_lines: list = []
-    probes = displaced = unprobed_dirty = promoted_only = 0
+    unprobed_idx: list = []
+    grow_idx: list = []
+    probes = displaced = promoted_only = 0
     probe_iter = repeat(True) if probe is None else probe.tolist()
     i = 0
     for ln, uses, ev, dirty in zip(
@@ -762,7 +808,8 @@ def filter_victims(
                     dirty = True
                     promoted_only += 1
             if not uses:
-                unprobed_dirty += dirty
+                if dirty:
+                    unprobed_idx.append(i)
             else:
                 prev = pop(ev, _MISS)
                 if prev is not _MISS:
@@ -779,6 +826,7 @@ def filter_victims(
                             spill_lines.append(victim_line)
                     else:
                         size += 1
+                        grow_idx.append(i)
                     lru[ev] = dirty
         i += 1
     blocks = victim._blocks
@@ -804,11 +852,14 @@ def filter_victims(
         hit,
         np.array(spill_idx, dtype=np.int64),
         np.array(spill_lines, dtype=np.int64),
-        unprobed_dirty,
+        np.array(unprobed_idx, dtype=np.int64),
+        np.array(grow_idx, dtype=np.int64),
     )
 
 
-def filter_assist(assist, cache, addrs: np.ndarray, writes: np.ndarray):
+def filter_assist(
+    assist, cache, addrs: np.ndarray, writes: np.ndarray, track: bool = False
+):
     """Run the L1 half of ``data_access`` in record order with a live assist.
 
     For an assist without victim caches (bypassing, stream buffers),
@@ -828,11 +879,16 @@ def filter_assist(assist, cache, addrs: np.ndarray, writes: np.ndarray):
     chunk).
 
     Mutates the live L1 sets and statistics and the assist.  Returns
-    ``(miss, demand, served, served_latency, wb_idx, wb_lines)`` as
-    int64 arrays, each in access order: the L1 misses; the misses that
-    go to the next level; the misses the assist served and their extra
-    latency; and the writebacks (L1 dirty evictions and dirty lines the
-    assist displaced) with the access that caused each.
+    ``(miss, demand, served, served_latency, wb_idx, wb_lines, tracked)``
+    as int64 arrays, each in access order: the L1 misses; the misses
+    that go to the next level; the misses the assist served and their
+    extra latency; and the writebacks (L1 dirty evictions and dirty
+    lines the assist displaced) with the access that caused each.
+    ``tracked`` is None unless ``track`` (interval sampling) asks for
+    ``(free_fills, bypassed, occupancy)``: the misses whose L1 fill
+    took a free way, the bypassed misses, and the assist's
+    ``occupancy`` before each miss's hooks and after the last miss's,
+    whose differences are each miss's change to it.
     """
     n = addrs.size
     shift = cache._offset_bits
@@ -850,6 +906,8 @@ def filter_assist(assist, cache, addrs: np.ndarray, writes: np.ndarray):
     served, served_latency = array("q"), array("q")
     wb_idx, wb_lines = array("q"), array("q")
     miss_append, demand_append = miss.append, demand.append
+    # Interval sampling only (see ``tracked`` above).
+    free_fills, bypassed, occupancy = array("q"), array("q"), array("q")
     evictions = dirty_evictions = 0
     for base in range(0, n, _CHUNK):
         addr_list = addrs[base : base + _CHUNK].tolist()
@@ -869,6 +927,8 @@ def filter_assist(assist, cache, addrs: np.ndarray, writes: np.ndarray):
             noted = k + 1
             i = base + k
             miss_append(i)
+            if track:
+                occupancy.append(assist.occupancy)
             hit = lookup_alternate(addr, ln, w)
             if hit is not None:
                 extra, promoted = hit
@@ -881,6 +941,8 @@ def filter_assist(assist, cache, addrs: np.ndarray, writes: np.ndarray):
                 demand_append(i)
                 victim = next(iter(lru)) if len(lru) >= assoc else None
                 if not fill_decision(addr, victim).cache_in_l1:
+                    if track:
+                        bypassed.append(i)
                     displaced = accept_bypassed(addr, CacheBlock(ln, w))
                     if displaced is not None and displaced.dirty:
                         wb_idx.append(i)
@@ -893,6 +955,8 @@ def filter_assist(assist, cache, addrs: np.ndarray, writes: np.ndarray):
                     dirty_evictions += 1
                     wb_idx.append(i)
                     wb_lines.append(victim)
+            elif track:
+                free_fills.append(i)
             lru[ln] = w
         for a, wr in zip(addr_list[noted:], write_list[noted:]):
             note(a, wr, True)
@@ -907,10 +971,15 @@ def filter_assist(assist, cache, addrs: np.ndarray, writes: np.ndarray):
     stats.misses += len(miss)
     stats.evictions += evictions
     stats.writebacks += dirty_evictions
-    return tuple(
+    columns = [miss, demand, served, served_latency, wb_idx, wb_lines]
+    if track:
+        occupancy.append(assist.occupancy)
+        columns += [free_fills, bypassed, occupancy]
+    arrays = [
         np.frombuffer(col, dtype=np.int64) if col else _EMPTY_I64
-        for col in (miss, demand, served, served_latency, wb_idx, wb_lines)
-    )
+        for col in columns
+    ]
+    return (*arrays[:6], tuple(arrays[6:]) if track else None)
 
 
 def replay_shadow(cache, lines: np.ndarray, hit: np.ndarray) -> None:

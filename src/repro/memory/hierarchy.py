@@ -107,7 +107,8 @@ class MemoryHierarchy:
     # bulk classification (vectorized simulator path)
 
     def bulk_classify(
-        self, addrs, writes, positions, fetch_pcs, fetch_positions
+        self, addrs, writes, positions, fetch_pcs, fetch_positions,
+        sample=False,
     ):
         """Resolve a span of accesses and fetches in bulk.
 
@@ -145,7 +146,7 @@ class MemoryHierarchy:
         state the scalar calls would leave, so scalar code can resume
         mid-trace afterwards.
 
-        Returns ``(latency, refill, stall)``:
+        Returns ``(latency, refill, stall, counters)``:
 
         * ``latency`` — per-data-access latency in cycles (int64);
         * ``refill`` — per-data-access refill class: 0 = no refill bus
@@ -153,11 +154,22 @@ class MemoryHierarchy:
           bypass-buffer hit, stream-buffer hit), 1 = L2 refill (L2 or
           L2 victim hit), 2 = DRAM refill (occupies an MSHR);
         * ``stall`` — per-fetch front-end stall cycles beyond an L1I
-          hit (int64).
+          hit (int64);
+        * ``counters`` — None unless ``sample``: then, per field of
+          :meth:`sample_counters` and in its order, the field's
+          increments over the span keyed by record position
+          (:func:`repro.memory.bulk.counter_steps`), so interval samples
+          can be read at any record boundary.  The two occupancies
+          count fills into a free way (the L1D replays report evicted
+          = -1) and the assist's insertions and extractions.
         """
         import numpy as np
 
-        from repro.memory.bulk import filter_assist, filter_victims
+        from repro.memory.bulk import (
+            counter_steps,
+            filter_assist,
+            filter_victims,
+        )
 
         machine = self.machine
         l1d, l1i, l2 = self.l1d, self.l1i, self.l2
@@ -176,22 +188,35 @@ class MemoryHierarchy:
 
         # Per data access: the L1D misses that go to L2 (dm_*), the L1D
         # writebacks (wb_*), and the misses the assist served in place
-        # of L2 with their extra latency (served_*).
+        # of L2 with their extra latency (served_*).  When sampling,
+        # the accesses that miss L1D, fill a free way in it, change the
+        # assist's occupancy (by occ_delta), hit in it or bypass L1.
         served_pos = None
+        empty = np.empty(0, dtype=np.int64)
+        occ_pos = bypass_pos = empty
+        occ_delta = None
         if assist is not None and victims is None:
             # The assist decides L1 placement itself: its hooks run
             # with the L1D lookups and fills in record order.
-            d_miss, dm_pos, served_pos, served_extra, wb_pos, wb_lines = (
-                filter_assist(assist, l1d, addrs, writes)
-            )
+            (
+                d_miss, dm_pos, served_pos, served_extra, wb_pos, wb_lines,
+                tracked,
+            ) = filter_assist(assist, l1d, addrs, writes, track=sample)
             dm_lines = d_lines[dm_pos]
             if l1d._classify:
                 d_hit = np.ones(addrs.size, dtype=bool)
                 d_hit[d_miss] = False
+            if sample:
+                l1_free, bypass_pos, occupancy = tracked
+                l1_miss = occ_pos = d_miss
+                occ_delta = np.diff(occupancy)
         else:
             d_hit, dm_pos, dm_lines, evicted, evicted_dirty = l1d.bulk_replay(
                 d_lines, writes, need_hits=l1d._classify
             )
+            if sample:
+                l1_miss = dm_pos
+                l1_free = dm_pos[evicted < 0]
             if victims is None:
                 # Every L1D miss goes to L2 and every dirty eviction is
                 # written back; L1I evictions are never dirty.
@@ -204,12 +229,16 @@ class MemoryHierarchy:
                 # back.
                 chrono = np.argsort(dm_pos)
                 dm_pos, dm_lines = dm_pos[chrono], dm_lines[chrono]
-                vc_hit, spill_idx, wb_lines, _ = filter_victims(
+                vc_hit, spill_idx, wb_lines, _, vc_grow = filter_victims(
                     victims[0], l1d, dm_lines, evicted[chrono],
                     evicted_dirty[chrono],
                 )
                 wb_pos = dm_pos[spill_idx]
                 served_pos, served_extra = dm_pos[vc_hit], 1
+                if sample:
+                    occ_pos = dm_pos
+                    occ_delta = -vc_hit.astype(np.int64)
+                    occ_delta[vc_grow] += 1
                 vc_miss = ~vc_hit
                 dm_pos, dm_lines = dm_pos[vc_miss], dm_lines[vc_miss]
 
@@ -239,10 +268,10 @@ class MemoryHierarchy:
         order = np.argsort(ev_key, kind="stable")
         ev_kind_sorted = ev_seq[order] == 2
         ev_lines_sorted = ev_lines[order]
-        ev_hit_sorted, l2_miss, l2_evicted, l2_evicted_dirty = (
-            l2.bulk_replay_events(
-                self.memory, ev_lines_sorted, ev_kind_sorted
-            )
+        (
+            ev_hit_sorted, l2_miss, l2_evicted, l2_evicted_dirty, absent,
+        ) = l2.bulk_replay_events(
+            self.memory, ev_lines_sorted, ev_kind_sorted
         )
         demand_sorted = ~ev_kind_sorted
         l2_lat = machine.l2.latency
@@ -257,7 +286,7 @@ class MemoryHierarchy:
         if victims is not None:
             chrono = np.argsort(l2_miss)
             l2_miss = l2_miss[chrono]
-            v2_hit, spilled, _, unprobed_dirty = filter_victims(
+            v2_hit, spilled, _, unprobed, v2_grow = filter_victims(
                 victims[1], l2, ev_lines_sorted[l2_miss],
                 l2_evicted[chrono], l2_evicted_dirty[chrono],
                 probe=ev_seq[order][l2_miss] == 1,
@@ -267,7 +296,7 @@ class MemoryHierarchy:
             self.memory.reads -= int(np.count_nonzero(v2_hit))
             self.memory.writes += (
                 spilled.size
-                + unprobed_dirty
+                + unprobed.size
                 - int(np.count_nonzero(l2_evicted_dirty))
             )
             v2_idx = l2_miss[v2_hit]
@@ -309,7 +338,41 @@ class MemoryHierarchy:
                 self._last_source = "mem"
             else:
                 self._last_source = "l2assist"
-        return latency, refill, stall
+        if not sample:
+            return latency, refill, stall, None
+
+        # Interval sampling: each sample_counters field's increments by
+        # record position; L2-side ones take their event's record.
+        ev_rec = ev_pos[order]
+        occ_rec = positions[occ_pos]
+        hit_rec = empty if served_pos is None else positions[served_pos]
+        # DRAM traffic per sorted L2 event: a demand read, a writeback
+        # that missed L2, and a dirty line the event's fill pushed out
+        # of L2 (or of its victim cache, or past it on a fetch miss).
+        traffic = from_dram.astype(np.int64)
+        traffic[absent] += 1
+        if victims is None:
+            traffic[l2_miss[l2_evicted_dirty]] += 1
+        else:
+            traffic[l2_miss[spilled]] += 1
+            traffic[l2_miss[unprobed]] += 1
+            v2_delta = -v2_hit.astype(np.int64)
+            v2_delta[v2_grow] += 1
+            occ_rec = np.concatenate((occ_rec, ev_rec[l2_miss]))
+            occ_delta = np.concatenate((occ_delta, v2_delta))
+            hit_rec = np.concatenate((hit_rec, ev_rec[v2_idx]))
+        counters = [
+            counter_steps(positions),
+            counter_steps(positions[l1_miss]),
+            counter_steps(ev_rec[demand_sorted]),
+            counter_steps(ev_rec[demand_sorted & ~ev_hit_sorted]),
+            counter_steps(positions[l1_free]),
+            counter_steps(occ_rec, occ_delta),
+            counter_steps(ev_rec, traffic),
+            counter_steps(hit_rec),
+            counter_steps(positions[bypass_pos]),
+        ]
+        return latency, refill, stall, counters
 
     # ------------------------------------------------------------------
     # internals

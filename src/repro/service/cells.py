@@ -298,6 +298,17 @@ class JobRequest:
     params: dict  # sanitized echo for the job document
 
 
+def is_integer(value) -> bool:
+    """A JSON integer.  ``bool`` is an ``int`` subclass, so a JSON
+    ``true`` would pass a bare ``isinstance(value, int)``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """A JSON number (integer or float), never a boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_names(value, fallback: list[str], what: str) -> list[str]:
     if value is None:
         return list(fallback)
@@ -441,7 +452,7 @@ def decompose(body: dict, default_scale: Scale) -> JobRequest:
         if mechanism not in _KNOWN_MECHANISMS:
             raise ValueError(f"unknown mechanism {mechanism!r}")
         interval = body.get("interval", 1000)
-        if not isinstance(interval, int) or interval < 0:
+        if not is_integer(interval) or interval < 0:
             raise ValueError(f"interval must be an integer >= 0, got {interval!r}")
         machine = SENSITIVITY_CONFIGS[config]().scaled(scale.machine_divisor)
         params.update(

@@ -97,6 +97,8 @@ from repro.service.cells import (
     aggregate_result,
     canonical_json,
     decompose,
+    is_integer,
+    is_number,
 )
 from repro.service.jobs import CellState, Job
 from repro.telemetry import SweepTimeline, sweep_trace_events
@@ -370,16 +372,14 @@ class SweepService:
 
     def parse_options(self, body: dict) -> JobOptions:
         jobs = body.get("jobs")
-        if jobs is not None and (not isinstance(jobs, int) or jobs < 1):
+        if jobs is not None and (not is_integer(jobs) or jobs < 1):
             raise _BadRequest(f"jobs must be a positive integer, got {jobs!r}")
         jobs = min(resolve_jobs(jobs, default=self.workers), self.workers)
         timeout = body.get("timeout", self.config.timeout)
-        if timeout is not None and (
-            not isinstance(timeout, (int, float)) or timeout <= 0
-        ):
+        if timeout is not None and (not is_number(timeout) or timeout <= 0):
             raise _BadRequest(f"timeout must be positive, got {timeout!r}")
         retries = body.get("retries", self.config.retries)
-        if not isinstance(retries, int) or retries < 0:
+        if not is_integer(retries) or retries < 0:
             raise _BadRequest(f"retries must be an integer >= 0, got {retries!r}")
         faults = body.get("faults")
         if faults is not None and not isinstance(faults, str):
@@ -392,7 +392,7 @@ class SweepService:
             raise _BadRequest(str(exc)) from None
         deadline = body.get("deadline")
         if deadline is not None and (
-            not isinstance(deadline, (int, float)) or deadline <= 0
+            not is_number(deadline) or deadline <= 0
         ):
             raise _BadRequest(
                 f"deadline must be positive seconds, got {deadline!r}"
@@ -906,17 +906,12 @@ class SweepService:
             )
         scale = SCALES[scale_name]
         threshold = body.get("threshold")
-        if threshold is not None and not isinstance(
-            threshold, (int, float)
-        ):
+        if threshold is not None and not is_number(threshold):
             raise _BadRequest(
                 f"threshold must be a number, got {threshold!r}"
             )
         miss_floor = body.get("miss_floor", DEFAULT_MISS_FLOOR)
-        if (
-            not isinstance(miss_floor, (int, float))
-            or not 0.0 <= miss_floor <= 1.0
-        ):
+        if not is_number(miss_floor) or not 0.0 <= miss_floor <= 1.0:
             raise _BadRequest(
                 f"miss_floor must be a ratio in [0, 1], got {miss_floor!r}"
             )

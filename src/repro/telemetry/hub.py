@@ -11,7 +11,8 @@ the hub records:
   compiler-marked region becomes a span;
 * **interval samples** — every ``interval`` cycles the hierarchy's
   cumulative counters are appended to a columnar
-  :class:`~repro.telemetry.series.TimeSeries`;
+  :class:`~repro.telemetry.series.TimeSeries` (one row at a time by
+  the scalar loop, a span's rows at once by the vector path);
 * **boundary snapshots** — a full
   :class:`~repro.memory.stats.HierarchySnapshot` at run start, at every
   gate transition, and at run end.  Region-level statistics are exact
@@ -148,6 +149,18 @@ class Telemetry:
             + self._counters_fn()
             + (int(self._gate_on),)
         )
+
+    def sample_rows(self, cycles, instructions, counters) -> None:
+        """Append precomputed sample rows, all at the current gate state.
+
+        The vector path's bulk form of :meth:`sample`: ``cycles`` and
+        ``instructions`` hold one value per row, ``counters`` one column
+        per field of the bound counter row.
+        """
+        if self._counters_fn is None:
+            raise RuntimeError("telemetry hub is not bound to a run")
+        gate = [int(self._gate_on)] * len(cycles)
+        self.series.extend([cycles, instructions, *counters, gate])
 
     # ------------------------------------------------------------------
     # spans

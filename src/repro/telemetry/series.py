@@ -53,6 +53,19 @@ class TimeSeries:
         for name, value in zip(SAMPLE_FIELDS, row):
             self._columns[name].append(value)
 
+    def extend(self, columns) -> None:
+        """Append many samples given column-wise, in :data:`SAMPLE_FIELDS`
+        order (one sequence of ints per field, all the same length)."""
+        if len(columns) != len(SAMPLE_FIELDS):
+            raise ValueError(
+                f"sample columns have {len(columns)} fields, "
+                f"expected {len(SAMPLE_FIELDS)}"
+            )
+        if len({len(column) for column in columns}) > 1:
+            raise ValueError("sample columns differ in length")
+        for name, column in zip(SAMPLE_FIELDS, columns):
+            self._columns[name].extend(column)
+
     def column(self, name: str) -> array:
         """One column by field name, by reference — do not mutate."""
         return self._columns[name]

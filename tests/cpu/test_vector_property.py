@@ -16,6 +16,10 @@ results cannot show (:func:`machine_state`): a dirty bit that is never
 written back, a victim cache or bypass buffer left in the wrong order,
 or a MAT counter noted out of turn, would only surface in a later
 span.
+
+The two-way runs attach a telemetry hub with a drawn sampling
+interval, and the interval samples, boundary snapshots, spans and
+counters must match bit for bit as well (:func:`run_sampled`).
 """
 
 from __future__ import annotations
@@ -34,6 +38,8 @@ from repro.isa.instructions import Opcode
 from repro.isa.packed import PackedTrace
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.params import base_config
+from repro.telemetry import Telemetry
+from repro.telemetry.series import SAMPLE_FIELDS
 from repro.workloads.base import TINY
 
 _LOAD = int(Opcode.LOAD)
@@ -171,20 +177,47 @@ def packed_traces(draw):
     return PackedTrace("prop", ops, args, pcs)
 
 
-def _assert_two_way(trace, **kwargs):
-    scalar = simulate_trace(
+#: Sampling intervals in cycles: none (an idle hub: the unsampled
+#: kernels), every cycle, an odd period, the CLI default, one longer
+#: than any generated run (only the final sample), or any in between.
+intervals = st.one_of(
+    st.sampled_from([0, 1, 97, 1000, 10**9]), st.integers(1, 5000)
+)
+
+
+def run_sampled(trace, vectorize, interval, machine=None, **kwargs):
+    """Simulate ``trace`` under a hub sampling every ``interval`` cycles.
+
+    Returns the result and everything the hub recorded: each interval
+    sample column, the boundary snapshots, spans, counters and gauges.
+    ``machine`` defaults to the TINY-scaled base configuration.
+    """
+    hub = Telemetry(interval=interval)
+    result = simulate_trace(
         trace,
-        base_config().scaled(TINY.machine_divisor),
-        vectorize=False,
+        machine or base_config().scaled(TINY.machine_divisor),
+        telemetry=hub,
+        vectorize=vectorize,
         **kwargs,
     )
-    vector = simulate_trace(
-        trace,
-        base_config().scaled(TINY.machine_divisor),
-        vectorize=True,
-        **kwargs,
-    )
-    assert vector == scalar
+    recorded = {
+        "series": {
+            field: list(hub.series.column(field)) for field in SAMPLE_FIELDS
+        },
+        "boundaries": hub.boundaries,
+        "spans": hub.spans,
+        "counters": hub.counters,
+        "gauges": hub.gauges,
+        "total_cycles": hub.total_cycles,
+    }
+    return result, recorded
+
+
+def _assert_two_way(trace, interval, **kwargs):
+    """Scalar loop == kernels forced onto every span == auto dispatch."""
+    scalar = run_sampled(trace, False, interval, **kwargs)
+    assert run_sampled(trace, True, interval, **kwargs) == scalar
+    assert run_sampled(trace, None, interval, **kwargs) == scalar
 
 
 def _cache_state(cache):
@@ -272,26 +305,32 @@ def assert_same_state(trace, **kwargs):
 
 class TestVectorProperty:
     @settings(max_examples=40, deadline=None)
-    @given(trace=packed_traces())
-    def test_no_assist(self, trace):
-        _assert_two_way(trace, classify_misses=True)
+    @given(trace=packed_traces(), interval=intervals)
+    def test_no_assist(self, trace, interval):
+        _assert_two_way(trace, interval, classify_misses=True)
 
     @settings(max_examples=80, deadline=None)
     @given(
         trace=packed_traces(),
         mechanism=st.sampled_from(["bypass", "victim", "prefetch"]),
+        interval=intervals,
     )
-    def test_gated_assist(self, trace, mechanism):
+    def test_gated_assist(self, trace, mechanism, interval):
         """Toggles enable the assist: vector spans must interleave with
-        bulk-replayed assist-on spans on shared timing state."""
-        _assert_two_way(trace, mechanism=mechanism, initially_on=False)
+        bulk-replayed assist-on spans on shared timing state, and the
+        samples taken in each must read the assist's counters."""
+        _assert_two_way(
+            trace, interval, mechanism=mechanism, initially_on=False
+        )
 
     @settings(max_examples=40, deadline=None)
-    @given(trace=packed_traces())
-    def test_victim_always_on(self, trace):
+    @given(trace=packed_traces(), interval=intervals)
+    def test_victim_always_on(self, trace, interval):
         """Markers toggle a gate that starts on; with ``classify_misses``
         the shadow classifiers see the victim-filtered L2 stream."""
-        _assert_two_way(trace, mechanism="victim", classify_misses=True)
+        _assert_two_way(
+            trace, interval, mechanism="victim", classify_misses=True
+        )
 
     @settings(max_examples=40, deadline=None)
     @given(trace=packed_traces())
@@ -443,7 +482,7 @@ class TestBypassBufferTiming:
         emit(_ALU, 2000)  # outlast the cold line's DRAM fetch
         emit(_LOAD, hot + 4 * 1024)  # served by the buffer
         trace = PackedTrace("buffer-hit", *zip(*records))
-        _assert_two_way(trace, mechanism="bypass")
+        _assert_two_way(trace, 1, mechanism="bypass")
         scalar = simulate_trace(
             trace,
             base_config().scaled(TINY.machine_divisor),

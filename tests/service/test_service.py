@@ -241,6 +241,30 @@ class TestEndpoints:
         assert job["state"] == "done"
 
 
+    def test_booleans_are_not_numbers(self, client):
+        """JSON ``true`` is an ``int`` to Python, not a number to the
+        API: a boolean interval or option is a 400 at submission, not a
+        cell that fails in the worker."""
+        profile = {"kind": "profile", "benchmark": "tpcd_q3"}
+        for body in (
+            {**profile, "interval": True},
+            {**_simulate_body(WARM_BENCHMARK), "jobs": True},
+            {**_simulate_body(WARM_BENCHMARK), "retries": False},
+            {**_simulate_body(WARM_BENCHMARK), "timeout": True},
+            {**_simulate_body(WARM_BENCHMARK), "deadline": True},
+        ):
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit(body)
+            assert excinfo.value.status == 400, body
+        for body in (
+            {"benchmark": WARM_BENCHMARK, "threshold": True},
+            {"benchmark": WARM_BENCHMARK, "miss_floor": False},
+        ):
+            with pytest.raises(ServiceError) as excinfo:
+                client.post("/v1/predict", body)
+            assert excinfo.value.status == 400, body
+
+
 class TestPredictEndpoint:
     def test_predict_answers_synchronously(self, client):
         payload = client.predict(WARM_BENCHMARK)

@@ -43,6 +43,25 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             TimeSeries().append((1, 2, 3))
 
+    def test_extend_appends_columns(self):
+        series = TimeSeries()
+        series.append(tuple(range(len(SAMPLE_FIELDS))))
+        series.extend([[10 + k, 20 + k] for k in range(len(SAMPLE_FIELDS))])
+        assert len(series) == 3
+        assert list(series.column("cycle")) == [0, 10, 20]
+        assert list(series.column("gate_on")) == [
+            len(SAMPLE_FIELDS) - 1, 10 + len(SAMPLE_FIELDS) - 1,
+            20 + len(SAMPLE_FIELDS) - 1,
+        ]
+
+    def test_extend_rejects_ragged_or_short_columns(self):
+        with pytest.raises(ValueError):
+            TimeSeries().extend([[1], [2]])
+        columns = [[0]] * len(SAMPLE_FIELDS)
+        columns[-1] = [0, 1]
+        with pytest.raises(ValueError):
+            TimeSeries().extend(columns)
+
     def test_interval_rates_are_deltas(self):
         series = TimeSeries()
         template = [0] * len(SAMPLE_FIELDS)
@@ -71,6 +90,24 @@ class TestTelemetryHub:
     def test_sample_requires_binding(self):
         with pytest.raises(RuntimeError):
             Telemetry(interval=10).sample(0, 0)
+
+    def test_sample_rows_match_single_samples(self):
+        """The vector path's bulk rows equal one ``sample`` per row."""
+        counters = tuple(range(3, len(SAMPLE_FIELDS)))
+        single = Telemetry(interval=10)
+        single.bind(lambda: counters, _snapshot, gate_on=True)
+        bulk = Telemetry(interval=10)
+        bulk.bind(lambda: counters, _snapshot, gate_on=True)
+        for cycle, instructions in [(10, 4), (25, 9)]:
+            single.sample(cycle, instructions)
+        bulk.sample_rows(
+            [10, 25], [4, 9], [[value, value] for value in counters]
+        )
+        assert list(bulk.series.rows()) == list(single.series.rows())
+
+    def test_sample_rows_require_binding(self):
+        with pytest.raises(RuntimeError):
+            Telemetry(interval=10).sample_rows([], [], [])
 
     def test_gate_transitions_make_spans_and_boundaries(self):
         hub = _bind(Telemetry(), gate_on=False)
