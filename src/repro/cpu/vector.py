@@ -264,108 +264,54 @@ def _simulate_span(sim, state: "_PackedState", ops, args, pcs) -> None:
             crossings.append((key, clk, watch, peak))
             return (peak // period + 1) * period
 
-    # Two specialisations of the same event loop: issue widths are
-    # powers of two on every machine in Table 1, where ``// width``
-    # becomes a shift (measurably cheaper in this, the hottest loop of
-    # the vector path); the floor-divide body is the general fallback.
-    shift = width.bit_length() - 1 if width & (width - 1) == 0 else -1
     ev_iter = zip(ev_code.tolist(), ev_lat.tolist(), ev_cum.tolist())
-    if shift >= 0:
-        for code, lat, cum in ev_iter:
-            if code < 3:  # memory operation; code is the refill class
-                issue = (clk + cum) >> shift
-                pending = lsq_done[lsq_index]
-                if pending > issue:
-                    issue = pending
-                    if sampling:
-                        if clk + cum > watch and cum > seg_key:
-                            watch = crossed(seg_key, clk, watch, clk + cum - 1)
-                        seg_key = cum
-                    clk = (issue << shift) - cum
-                free = ring[port_index]
-                start = issue if issue > free else free
-                ring[port_index] = start + 1
-                port_index += 1
-                if port_index == num_ports:
-                    port_index = 0
-                if code:
-                    if refill_bus_free > start:
-                        start = refill_bus_free
-                    refill_bus_free = start + l2_refill_beats
-                    if code == 2:
-                        pending_miss = mshr_done[mshr_index]
-                        if pending_miss > start:
-                            start = pending_miss
-                        done = start + lat
-                        mshr_done[mshr_index] = done
-                        mshr_index += 1
-                        if mshr_index == mshr_count:
-                            mshr_index = 0
-                    else:
-                        done = start + lat
+    for code, lat, cum in ev_iter:
+        if code < 3:  # memory operation; code is the refill class
+            issue = (clk + cum) // width
+            pending = lsq_done[lsq_index]
+            if pending > issue:
+                issue = pending
+                if sampling:
+                    if clk + cum > watch and cum > seg_key:
+                        watch = crossed(seg_key, clk, watch, clk + cum - 1)
+                    seg_key = cum
+                clk = issue * width - cum
+            free = ring[port_index]
+            start = issue if issue > free else free
+            ring[port_index] = start + 1
+            port_index += 1
+            if port_index == num_ports:
+                port_index = 0
+            if code:
+                if refill_bus_free > start:
+                    start = refill_bus_free
+                refill_bus_free = start + l2_refill_beats
+                if code == 2:
+                    pending_miss = mshr_done[mshr_index]
+                    if pending_miss > start:
+                        start = pending_miss
+                    done = start + lat
+                    mshr_done[mshr_index] = done
+                    mshr_index += 1
+                    if mshr_index == mshr_count:
+                        mshr_index = 0
                 else:
                     done = start + lat
-                lsq_done[lsq_index] = done
-                lsq_index += 1
-                if lsq_index == lsq_size:
-                    lsq_index = 0
-                if done > last_done:
-                    last_done = done
-            else:  # issue-clock rebase: mispredict or front-end stall
-                if sampling:
-                    key = cum + code - 3
-                    if clk + key > watch and key > seg_key:
-                        watch = crossed(seg_key, clk, watch, clk + key - 1)
-                    seg_key = key
-                clk = ((((clk + cum) >> shift) + lat) << shift) - cum
-    else:
-        for code, lat, cum in ev_iter:
-            if code < 3:  # memory operation; code is the refill class
-                issue = (clk + cum) // width
-                pending = lsq_done[lsq_index]
-                if pending > issue:
-                    issue = pending
-                    if sampling:
-                        if clk + cum > watch and cum > seg_key:
-                            watch = crossed(seg_key, clk, watch, clk + cum - 1)
-                        seg_key = cum
-                    clk = issue * width - cum
-                free = ring[port_index]
-                start = issue if issue > free else free
-                ring[port_index] = start + 1
-                port_index += 1
-                if port_index == num_ports:
-                    port_index = 0
-                if code:
-                    if refill_bus_free > start:
-                        start = refill_bus_free
-                    refill_bus_free = start + l2_refill_beats
-                    if code == 2:
-                        pending_miss = mshr_done[mshr_index]
-                        if pending_miss > start:
-                            start = pending_miss
-                        done = start + lat
-                        mshr_done[mshr_index] = done
-                        mshr_index += 1
-                        if mshr_index == mshr_count:
-                            mshr_index = 0
-                    else:
-                        done = start + lat
-                else:
-                    done = start + lat
-                lsq_done[lsq_index] = done
-                lsq_index += 1
-                if lsq_index == lsq_size:
-                    lsq_index = 0
-                if done > last_done:
-                    last_done = done
-            else:  # issue-clock rebase: mispredict or front-end stall
-                if sampling:
-                    key = cum + code - 3
-                    if clk + key > watch and key > seg_key:
-                        watch = crossed(seg_key, clk, watch, clk + key - 1)
-                    seg_key = key
-                clk = ((clk + cum) // width + lat) * width - cum
+            else:
+                done = start + lat
+            lsq_done[lsq_index] = done
+            lsq_index += 1
+            if lsq_index == lsq_size:
+                lsq_index = 0
+            if done > last_done:
+                last_done = done
+        else:  # issue-clock rebase: mispredict or front-end stall
+            if sampling:
+                key = cum + code - 3
+                if clk + key > watch and key > seg_key:
+                    watch = crossed(seg_key, clk, watch, clk + key - 1)
+                seg_key = key
+            clk = ((clk + cum) // width + lat) * width - cum
 
     if sampling:
         # The last segment ends at the span's last record.

@@ -40,6 +40,13 @@ def test_lint_registry_subset_and_render():
     assert "tpcd_q6" in rendered and "chaos" in rendered
 
 
+def test_lint_registry_every_benchmark_strict_clean():
+    """Both variants of all 13 benchmarks lint strict-clean."""
+    result = lint_registry(TINY)
+    assert len(result.rows) == 26
+    assert result.ok(strict=True), render_lint(result, strict=True)
+
+
 def test_render_lint_failure_verdict():
     rows = lint_benchmark("perl", TINY)
     from repro.compiler.verify.diagnostics import Diagnostic

@@ -147,6 +147,27 @@ class TestKilledSweepResumes:
         assert_suites_equal(first, reference_suite)
         assert_suites_equal(resumed, reference_suite)
 
+    def test_serial_store_and_resume_every_version_both_configs(
+        self, tmp_path
+    ):
+        """Every version key (both assists) on two machines round-trips
+        the store: a checkpointing run and a resume from it both equal
+        a store-less run."""
+        grid = dict(
+            benchmarks=BENCHMARKS,
+            configs={
+                name: SENSITIVITY_CONFIGS[name]
+                for name in ("Base Confg.", "Higher Mem. Lat.")
+            },
+        )
+        reference = run_suite(TINY, jobs=1, **grid)
+        store = RunStore(tmp_path / "store")
+        first = run_suite(TINY, jobs=1, store=store, **grid)
+        resumed = run_suite(TINY, jobs=1, store=store, **grid)
+        assert len([e for e in store.entries() if e.ok]) == 4
+        assert_suites_equal(first, reference)
+        assert_suites_equal(resumed, reference)
+
 
 class TestRetry:
     def test_transient_worker_exit_recovered(self, reference_suite):

@@ -110,6 +110,18 @@ class TestPackedEquivalence:
             classify_misses=True,
         )
 
+    @pytest.mark.parametrize("mechanism", [None, "victim", "bypass"])
+    def test_base_trace_pure_hw_default_classifiers(
+        self, codes_by_name, mechanism
+    ):
+        """The production defaults (no shadow miss classifiers) with each
+        assist always on, or none."""
+        _assert_equivalent(
+            codes_by_name["vpenta"].base_trace,
+            base_config,
+            mechanism=mechanism,
+        )
+
     @pytest.mark.parametrize("name, config, mechanism", GATED_CASES)
     def test_selective_trace_gated(
         self, codes_by_name, name, config, mechanism
@@ -222,8 +234,8 @@ class TestSampledEquivalence:
         "version, mechanism", [SAMPLED_RUNS[0], SAMPLED_RUNS[-1]]
     )
     def test_odd_issue_width(self, codes_by_name, version, mechanism):
-        """An issue width that is not a power of two takes the fold's
-        floor-divide loop, which samples the same way."""
+        """An issue width that is not a power of two folds and samples
+        the same way."""
         machine = dataclasses.replace(
             base_config().scaled(TINY.machine_divisor), issue_width=3
         )

@@ -126,8 +126,14 @@ class TestColdAndCoalescing:
             == before["scheduler_executions"] + 1
         )
         assert after["coalesced"] == before["coalesced"] + 1
-        assert client.result_bytes(first["id"]) == client.result_bytes(
-            second["id"]
+        cold_bytes = client.result_bytes(first["id"])
+        assert client.result_bytes(second["id"]) == cold_bytes
+        # The same request once stored: served warm, byte-identical.
+        warm = client.run(body, timeout=120)
+        assert client.result_bytes(warm["id"]) == cold_bytes
+        assert (
+            client.metrics()["scheduler_executions"]
+            == after["scheduler_executions"]
         )
 
     def test_cold_result_now_warm_in_store(self, client):

@@ -1,0 +1,76 @@
+#!/usr/bin/env python
+"""Budget check over perfbench's service reports.
+
+Runs the ``service_cold`` and ``service_warm`` workloads (seed 1),
+requires each report's result line to say ``"failed": 0``, and fails
+unless the served ``/v1/predict`` median (``predict_p50_ms``, from
+service_warm) is at least 100x faster than the median cold simulated
+cell (``cold_cell_p50_s``, from service_cold).  That latency gap is the
+analytic model's reason to exist.
+
+The runs are full-size: ``--quick`` runs 6 cold cells and 40
+predictions, and on a 2-vCPU Xeon its ratio spread over 68-201x (3 of
+8 runs under budget) where full runs read 134-200x (13 of 13).
+
+Usage::
+
+    python3 tools/perf_budget.py
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("service_cold", "service_warm")
+BUDGET = 100.0
+
+
+def _metric(report: str, name: str) -> float:
+    """The value on a report's ``name  value unit`` line."""
+    for line in report.splitlines():
+        fields = line.split()
+        if len(fields) > 1 and fields[0] == name:
+            return float(fields[1])
+    raise ValueError(f"no {name} line in the report")
+
+
+def verdict(cold_report: str, warm_report: str) -> tuple[bool, str]:
+    """Judge the two reports' text: (within budget, one-line summary)."""
+    try:
+        for name, report in zip(WORKLOADS, (cold_report, warm_report)):
+            failed = json.loads(report.strip().splitlines()[-1])["failed"]
+            if failed != 0:
+                return False, f"{name}: {failed} operations failed"
+        cold_s = _metric(cold_report, "cold_cell_p50_s")
+        predict_ms = _metric(warm_report, "predict_p50_ms")
+    except (ValueError, KeyError, IndexError) as error:
+        return False, f"unreadable report: {error}"
+    ratio = 1000.0 * cold_s / predict_ms if predict_ms > 0 else 0.0
+    ok = ratio >= BUDGET
+    return ok, (
+        f"analytic predict {predict_ms:.3f} ms vs cold cell {cold_s:.3f} s"
+        f" -> {ratio:.1f}x (budget >= {BUDGET:.0f}x): "
+        + ("ok" if ok else "BELOW BUDGET")
+    )
+
+
+def main() -> int:
+    reports = []
+    for workload in WORKLOADS:
+        command = [sys.executable, "perfbench/run.py", "--workload",
+                   workload, "--seed", "1", "--trace", "0"]
+        run = subprocess.run(command, cwd=REPO_ROOT, stdout=subprocess.PIPE,
+                             text=True)
+        print(run.stdout, end="")
+        reports.append(run.stdout)
+    ok, summary = verdict(*reports)
+    print(summary)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
