@@ -16,7 +16,12 @@ from typing import Optional
 from repro.hwopt.bypass import BypassBuffer
 from repro.hwopt.mat import MemoryAccessTable
 from repro.hwopt.sldt import SpatialLocalityDetector
-from repro.memory.assist import AssistInterface, FillDecision, ServeResult
+from repro.memory.assist import (
+    ASSIST_HIT_CYCLES,
+    AssistInterface,
+    FillDecision,
+    ServeResult,
+)
 from repro.memory.block import CacheBlock
 from repro.memory.victim import VictimCache
 from repro.params import MachineParams
@@ -69,7 +74,7 @@ class CacheBypassAssist(AssistInterface):
             self._hits += 1
             # Served in place from the buffer: one extra cycle, nothing
             # promoted into L1.
-            return (1, None)
+            return (ASSIST_HIT_CYCLES, None)
         return None
 
     def fill_decision(
@@ -169,7 +174,7 @@ class VictimCacheAssist(AssistInterface):
             return None
         if is_write:
             block.dirty = True
-        return (1, block)  # promote back into L1 (swap)
+        return (ASSIST_HIT_CYCLES, block)  # promote back into L1 (swap)
 
     def fill_decision(
         self, addr: int, victim_line: Optional[int]

@@ -17,7 +17,12 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from repro.memory.assist import AssistInterface, FillDecision, ServeResult
+from repro.memory.assist import (
+    ASSIST_HIT_CYCLES,
+    AssistInterface,
+    FillDecision,
+    ServeResult,
+)
 from repro.memory.block import CacheBlock
 from repro.params import MachineParams
 
@@ -92,7 +97,7 @@ class StreamBufferAssist(AssistInterface):
             if buffer.lines and buffer.lines[0] == line:
                 self._hits += 1
                 self._prefetched += buffer.advance(self._clock)
-                return (1, CacheBlock(line, dirty=is_write))
+                return (ASSIST_HIT_CYCLES, CacheBlock(line, dirty=is_write))
         # No buffer covers this stream: start one just past the miss.
         victim = min(self._buffers, key=lambda b: b.last_used)
         self._prefetched += victim.allocate(

@@ -42,7 +42,9 @@ _HW_OFF = int(Opcode.HW_OFF)
 class PackedTrace:
     """A dynamic instruction stream in structure-of-arrays form."""
 
-    __slots__ = ("name", "_ops", "_args", "_pcs")
+    # ``__weakref__`` lets per-trace caches (the simulator's replay
+    # memo) live exactly as long as the trace.
+    __slots__ = ("name", "_ops", "_args", "_pcs", "__weakref__")
 
     def __init__(
         self,

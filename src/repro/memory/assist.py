@@ -21,7 +21,12 @@ from typing import Optional
 from repro.memory.block import CacheBlock
 from repro.memory.victim import VictimCache
 
-__all__ = ["FillDecision", "AssistInterface", "ServeResult"]
+__all__ = [
+    "ASSIST_HIT_CYCLES",
+    "FillDecision",
+    "AssistInterface",
+    "ServeResult",
+]
 
 
 @dataclass(frozen=True)
@@ -40,6 +45,13 @@ class FillDecision:
 #: promote into L1 — None when the data is served in place, as from the
 #: bypass buffer).
 ServeResult = tuple[int, Optional[CacheBlock]]
+
+#: The extra latency of every assist hit beyond the level it stands in
+#: for: an L1-side hit (victim cache, bypass buffer, stream buffer) over
+#: an L1 hit, and an L2 victim hit over an L2 hit.  The bulk replay
+#: records only that an access was assist-served, so every
+#: ``lookup_alternate`` hit must cost exactly this.
+ASSIST_HIT_CYCLES = 1
 
 
 class AssistInterface(abc.ABC):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from repro.memory.assist import AssistInterface
+from repro.memory.assist import ASSIST_HIT_CYCLES, AssistInterface
 from repro.memory.block import CacheBlock
 from repro.memory.cache import SetAssociativeCache
 from repro.memory.dram import MainMemory
@@ -21,7 +21,57 @@ from repro.memory.stats import HierarchySnapshot, clone_stats
 from repro.memory.tlb import TLB
 from repro.params import MachineParams
 
-__all__ = ["AccessResult", "MemoryHierarchy"]
+__all__ = [
+    "AccessResult",
+    "MemoryHierarchy",
+    "L1_HIT",
+    "ASSIST_HIT",
+    "L2_HIT",
+    "L2_VICTIM_HIT",
+    "DRAM",
+    "TLB_MISS",
+    "outcome_timing",
+]
+
+#: Outcome codes of :meth:`MemoryHierarchy.bulk_classify`: the low three
+#: bits say where an access was served from, and ``TLB_MISS`` is set
+#: when its TLB lookup missed.  An instruction fetch is an ``L1_HIT``,
+#: ``L2_HIT`` or ``DRAM`` (the instruction side has no assist).
+L1_HIT, ASSIST_HIT, L2_HIT, L2_VICTIM_HIT, DRAM = range(5)
+TLB_MISS = 8
+
+
+def outcome_timing(machine: MachineParams):
+    """The timing of each outcome code on ``machine``.
+
+    Returns ``(latency, refill, stall)``, three int64 tables indexed by
+    code: a data access's latency in cycles and refill class (0 = no
+    refill bus use, 1 = an L2-side refill, 2 = a DRAM refill, which
+    occupies an MSHR), and a fetch's front-end stall beyond an L1I hit.
+    They add up the same terms as :meth:`MemoryHierarchy.data_access`
+    and :meth:`MemoryHierarchy.inst_fetch`, and this is the only place
+    the bulk path reads a latency: the replay that produces the codes
+    never does.
+    """
+    import numpy as np
+
+    l2 = machine.l2.latency
+    dram = machine.mem_latency + machine.block_transfer_cycles(
+        machine.l2.block_size
+    )
+    path = np.zeros(TLB_MISS, dtype=np.int64)
+    path[ASSIST_HIT] = ASSIST_HIT_CYCLES
+    path[L2_HIT] = l2
+    path[L2_VICTIM_HIT] = l2 + ASSIST_HIT_CYCLES
+    path[DRAM] = l2 + dram
+    refill = np.zeros(TLB_MISS, dtype=np.int64)
+    refill[[L2_HIT, L2_VICTIM_HIT]] = 1
+    refill[DRAM] = 2
+    latency = machine.l1d.latency + np.concatenate(
+        (path, path + machine.dtlb.miss_penalty)
+    )
+    stall = np.concatenate((path, path + machine.itlb.miss_penalty))
+    return latency, np.concatenate((refill, refill)), stall
 
 
 class AccessResult(NamedTuple):
@@ -146,15 +196,15 @@ class MemoryHierarchy:
         state the scalar calls would leave, so scalar code can resume
         mid-trace afterwards.
 
-        Returns ``(latency, refill, stall, counters)``:
+        Returns ``(data, fetch, counters)``:
 
-        * ``latency`` — per-data-access latency in cycles (int64);
-        * ``refill`` — per-data-access refill class: 0 = no refill bus
-          use (L1 hit, or a miss the assist served: L1 victim hit,
-          bypass-buffer hit, stream-buffer hit), 1 = L2 refill (L2 or
-          L2 victim hit), 2 = DRAM refill (occupies an MSHR);
-        * ``stall`` — per-fetch front-end stall cycles beyond an L1I
-          hit (int64);
+        * ``data`` — per data access, its outcome code (int8): where it
+          was served from (``L1_HIT``; ``ASSIST_HIT`` for a miss the
+          assist served: L1 victim hit, bypass-buffer hit, stream-buffer
+          hit; ``L2_HIT``; ``L2_VICTIM_HIT``; ``DRAM``), plus
+          ``TLB_MISS`` if the DTLB missed;
+        * ``fetch`` — per fetch, its outcome code (int8) likewise, with
+          the ITLB;
         * ``counters`` — None unless ``sample``: then, per field of
           :meth:`sample_counters` and in its order, the field's
           increments over the span keyed by record position
@@ -162,6 +212,10 @@ class MemoryHierarchy:
           can be read at any record boundary.  The two occupancies
           count fills into a free way (the L1D replays report evicted
           = -1) and the assist's insertions and extractions.
+
+        No latency is read here: :func:`outcome_timing` maps the codes
+        to cycles, so the same replay can be timed on any machine that
+        differs from this one only in its timing fields.
         """
         import numpy as np
 
@@ -171,7 +225,6 @@ class MemoryHierarchy:
             filter_victims,
         )
 
-        machine = self.machine
         l1d, l1i, l2 = self.l1d, self.l1i, self.l2
         assist = self.assist if self.assist and self.assist.enabled else None
         victims = assist.victim_caches if assist else None
@@ -188,9 +241,9 @@ class MemoryHierarchy:
 
         # Per data access: the L1D misses that go to L2 (dm_*), the L1D
         # writebacks (wb_*), and the misses the assist served in place
-        # of L2 with their extra latency (served_*).  When sampling,
-        # the accesses that miss L1D, fill a free way in it, change the
-        # assist's occupancy (by occ_delta), hit in it or bypass L1.
+        # of L2 (served_pos).  When sampling, the accesses that miss
+        # L1D, fill a free way in it, change the assist's occupancy (by
+        # occ_delta), hit in it or bypass L1.
         served_pos = None
         empty = np.empty(0, dtype=np.int64)
         occ_pos = bypass_pos = empty
@@ -199,8 +252,7 @@ class MemoryHierarchy:
             # The assist decides L1 placement itself: its hooks run
             # with the L1D lookups and fills in record order.
             (
-                d_miss, dm_pos, served_pos, served_extra, wb_pos, wb_lines,
-                tracked,
+                d_miss, dm_pos, served_pos, wb_pos, wb_lines, tracked,
             ) = filter_assist(assist, l1d, addrs, writes, track=sample)
             dm_lines = d_lines[dm_pos]
             if l1d._classify:
@@ -234,7 +286,7 @@ class MemoryHierarchy:
                     evicted_dirty[chrono],
                 )
                 wb_pos = dm_pos[spill_idx]
-                served_pos, served_extra = dm_pos[vc_hit], 1
+                served_pos = dm_pos[vc_hit]
                 if sample:
                     occ_pos = dm_pos
                     occ_delta = -vc_hit.astype(np.int64)
@@ -274,15 +326,11 @@ class MemoryHierarchy:
             self.memory, ev_lines_sorted, ev_kind_sorted
         )
         demand_sorted = ~ev_kind_sorted
-        l2_lat = machine.l2.latency
-        mem_lat = machine.mem_latency + machine.block_transfer_cycles(
-            machine.l2.block_size
-        )
         # Per sorted event (writeback entries are padding): served from
-        # DRAM, and the L2-path latency — L2 hit, L2 victim hit (one
-        # extra cycle, no DRAM read) or DRAM.
+        # DRAM, and the source code — L2 hit, L2 victim hit (no DRAM
+        # read) or DRAM.
         from_dram = ~ev_hit_sorted
-        l2_path = np.where(from_dram, l2_lat + mem_lat, l2_lat)
+        source = np.where(from_dram, np.int8(DRAM), np.int8(L2_HIT))
         if victims is not None:
             chrono = np.argsort(l2_miss)
             l2_miss = l2_miss[chrono]
@@ -301,7 +349,7 @@ class MemoryHierarchy:
             )
             v2_idx = l2_miss[v2_hit]
             from_dram[v2_idx] = False
-            l2_path[v2_idx] = l2_lat + 1
+            source[v2_idx] = L2_VICTIM_HIT
 
         if l1d._classify:
             l1d.bulk_classify_shadow(d_lines, d_hit)
@@ -310,24 +358,17 @@ class MemoryHierarchy:
                 ev_lines_sorted[demand_sorted], ev_hit_sorted[demand_sorted]
             )
 
-        latency = np.full(addrs.size, self._l1d_latency, dtype=np.int64)
-        latency += dtlb_miss * self._dtlb_penalty
-        refill = np.zeros(addrs.size, dtype=np.int64)
+        tlb_miss = np.int8(TLB_MISS)
+        data = dtlb_miss * tlb_miss
         if served_pos is not None:
-            latency[served_pos] += served_extra
+            data[served_pos] |= ASSIST_HIT
         # Back from (record, phase) order to the concatenation order:
         # fetch misses, then data misses, then writebacks.
-        ev_path = np.empty_like(l2_path)
-        ev_path[order] = l2_path
-        if n_dm:
-            ev_dram = np.empty(order.size, dtype=bool)
-            ev_dram[order] = from_dram
-            latency[dm_pos] += ev_path[n_im : n_im + n_dm]
-            refill[dm_pos] = np.where(ev_dram[n_im : n_im + n_dm], 2, 1)
-
-        stall = itlb_miss * self._itlb_penalty
-        if n_im:
-            stall[im_pos] += ev_path[:n_im]
+        ev_source = np.empty_like(source)
+        ev_source[order] = source
+        data[dm_pos] |= ev_source[n_im : n_im + n_dm]
+        fetch = itlb_miss * tlb_miss
+        fetch[im_pos] |= ev_source[:n_im]
 
         demand_idx = np.nonzero(demand_sorted)[0]
         if demand_idx.size:
@@ -339,7 +380,7 @@ class MemoryHierarchy:
             else:
                 self._last_source = "l2assist"
         if not sample:
-            return latency, refill, stall, None
+            return data, fetch, None
 
         # Interval sampling: each sample_counters field's increments by
         # record position; L2-side ones take their event's record.
@@ -372,7 +413,7 @@ class MemoryHierarchy:
             counter_steps(hit_rec),
             counter_steps(positions[bypass_pos]),
         ]
-        return latency, refill, stall, counters
+        return data, fetch, counters
 
     # ------------------------------------------------------------------
     # internals
@@ -406,7 +447,7 @@ class MemoryHierarchy:
             l2_line = self.l2.line_of(addr)
             block = assist.lookup_l2_alternate(l2_line)
             if block is not None:
-                latency += 1
+                latency += ASSIST_HIT_CYCLES
                 self._install_l2(addr, block.dirty, assist)
                 self._last_source = "l2assist"
                 return latency

@@ -99,6 +99,13 @@ class ChaosProxy:
 
     def close(self) -> None:
         self._stop.set()
+        # As in _untrack: a listener closed while the accept loop is
+        # blocked on it does not wake the loop, and the join below
+        # would wait out its timeout; shutting it down first does.
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._listener.close()
         except OSError:
@@ -120,6 +127,14 @@ class ChaosProxy:
     def _untrack(self, sock: socket.socket) -> None:
         with self._lock:
             self._live.discard(sock)
+        # Shut down before closing: the request pump may be blocked in
+        # ``recv`` on this socket, and while it is, ``close`` alone
+        # leaves the descriptor open and sends no FIN, so a truncated
+        # response would reach the client as a read timeout, not EOF.
+        try:
+            sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             sock.close()
         except OSError:

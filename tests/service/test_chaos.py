@@ -15,6 +15,8 @@ read path: store → aggregation → canonical JSON → HTTP → client.
 from __future__ import annotations
 
 import http.client
+import socket
+import time
 
 import pytest
 
@@ -93,6 +95,40 @@ class TestFaultModes:
         plan = NetworkFaultPlan.parse("drop:5;truncate:3:200")
         with ChaosProxy("127.0.0.1", server.port, plan) as proxy:
             _run_through(proxy, server, reference)
+
+    def test_truncated_response_reaches_client_as_eof(
+        self, server, reference
+    ):
+        """The proxy ends a cut response with a FIN: the client reads
+        the forwarded bytes and then EOF at once, rather than waiting
+        out its read timeout."""
+        ref_id, _, _ = reference
+        plan = NetworkFaultPlan.parse("truncate:1:150")
+        with ChaosProxy("127.0.0.1", server.port, plan) as proxy:
+            with socket.create_connection(
+                ("127.0.0.1", proxy.port), timeout=30
+            ) as sock:
+                started = time.monotonic()
+                sock.sendall(
+                    f"GET /v1/jobs/{ref_id} HTTP/1.1\r\n"
+                    "Host: 127.0.0.1\r\n\r\n".encode()
+                )
+                received = b""
+                while chunk := sock.recv(4096):
+                    received += chunk
+                elapsed = time.monotonic() - started
+        assert len(received) == 150
+        assert elapsed < 1.0
+
+    def test_close_wakes_the_accept_loop(self, server):
+        """Closing the proxy ends its accept loop at once, instead of
+        waiting out the join timeout."""
+        proxy = ChaosProxy("127.0.0.1", server.port, NetworkFaultPlan())
+        with proxy:
+            time.sleep(0.2)  # the accept loop is blocked in accept()
+            started = time.monotonic()
+        assert time.monotonic() - started < 1.0
+        assert not proxy._accept_thread.is_alive()
 
     def test_clean_proxy_is_transparent(self, server, reference):
         ref_id, ref_doc, ref_bytes = reference

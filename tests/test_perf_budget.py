@@ -76,3 +76,32 @@ def test_failed_operations_fail():
 def test_missing_result_line_fails():
     ok, _ = perf_budget.verdict("Traceback (most recent call last):\n", "")
     assert not ok
+
+
+def test_uncached_leg_is_reported_not_gated():
+    ok, summary = perf_budget.verdict(
+        _report(COLD), _report(WARM), uncached_ms=27.9
+    )
+    assert ok, summary
+    assert summary.endswith(
+        "; uncached predict 27.900 ms -> 10.0x (reported, not gated)"
+    )
+    warm = dict(WARM, predict_p50_ms="      2.8000 ms")
+    ok, summary = perf_budget.verdict(
+        _report(COLD), _report(warm), uncached_ms=0.1
+    )
+    assert not ok
+    assert "BELOW BUDGET" in summary
+
+
+def test_uncached_predict_times_the_model(monkeypatch):
+    import repro.analytic.predict as predict
+
+    calls = []
+
+    def fake(benchmark, scale):
+        calls.append((benchmark, scale.name))
+
+    monkeypatch.setattr(predict, "predict_benchmark", fake)
+    assert perf_budget.uncached_predict_ms() >= 0.0
+    assert calls == [("vpenta", "tiny")] * 3
