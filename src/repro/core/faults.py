@@ -37,7 +37,7 @@ cell); ``corrupt`` fires in the parent at store-write time.
 The second half of this module is the *network* fault vocabulary used
 by the chaos proxy (:mod:`repro.service.chaos`, ``tools/chaos_proxy``):
 ``drop`` (connection closed on accept), ``stall`` (the response stream
-freezes mid-flight), and ``truncate`` (the response is cut after N
+freezes before its first byte), and ``truncate`` (the response is cut after N
 bytes — mid-NDJSON-event by construction).  Like execution faults,
 network faults are deterministic: whether a connection is sabotaged
 depends only on its 0-based accept index, via ``every``-th matching.
@@ -303,7 +303,7 @@ class NetworkFaultPlan:
         kind[:every[:amount]][;kind[:every[:amount]]...]
 
     e.g. ``drop:3`` (every 3rd connection refused), ``stall:2:5``
-    (every 2nd connection stalls 5 s mid-response), ``truncate:1:200``
+    (every 2nd connection stalls 5 s before its response), ``truncate:1:200``
     (every response cut after 200 bytes).  The first matching entry
     wins when several fire on one connection.
     """

@@ -30,7 +30,12 @@ L2) with the same fill as the next level would, so the per-set replays
 stand and the victim caches run as filters over the miss stream.  An
 assist that decides L1 placement itself (bypassing, stream buffers)
 never reads L2, the TLBs or time, so only its L1 half runs in record
-order, driving the live assist's hooks; L2 and the timing stay in bulk.
+order, through the assist's ``filter_l1``; L2 and the timing stay in
+bulk.  Stream buffers take the default, which drives the live assist's
+hooks (``repro.memory.bulk.filter_assist``).  The bypass assist runs
+one fused loop with its MAT, SLDT, buffer and fill rule inline; its
+scalar hooks, which marker records and short spans still call, are
+that loop's oracle.
 Marker records and spans under ``MIN_VECTOR_SPAN`` execute through the
 scalar ``_run_packed_range`` against the same shared ``_PackedState``,
 so the two execution styles alternate freely mid-trace.

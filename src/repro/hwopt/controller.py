@@ -11,6 +11,8 @@ at region boundaries by the activate/deactivate instructions.
 
 from __future__ import annotations
 
+from array import array
+from itertools import count
 from typing import Optional
 
 from repro.hwopt.bypass import BypassBuffer
@@ -23,6 +25,7 @@ from repro.memory.assist import (
     ServeResult,
 )
 from repro.memory.block import CacheBlock
+from repro.memory.bulk import CHUNK, commit_filter, working_lrus
 from repro.memory.victim import VictimCache
 from repro.params import MachineParams
 
@@ -30,6 +33,9 @@ __all__ = ["CacheBypassAssist", "VictimCacheAssist"]
 
 _CACHE_NORMALLY = FillDecision(cache_in_l1=True)
 _BYPASS = FillDecision(cache_in_l1=False)
+
+#: Sentinel distinguishing "absent" from any stored dirty flag.
+_MISS = object()
 
 
 class CacheBypassAssist(AssistInterface):
@@ -118,6 +124,173 @@ class CacheBypassAssist(AssistInterface):
         # A dirty double word leaves the buffer: hand the hierarchy a
         # line-granularity record so it can route the writeback.
         return CacheBlock(displaced_dirty // self._line_size, dirty=True)
+
+    def filter_l1(self, cache, addrs, writes, track: bool = False):
+        """The record-order L1 filter of a bypass span, hooks inlined.
+
+        Does what :func:`repro.memory.bulk.filter_assist` does with this
+        assist's hooks, and returns the same tuple, but in one loop
+        that holds the L1 sets, the MAT, the SLDT and the buffer in
+        locals.  Per access: the MAT count (``MemoryAccessTable.record``,
+        aging included), the SLDT update (``observe``, retiring and
+        judging the LRU entry when full) and the L1 lookup.  Per miss:
+        the buffer probe (``lookup_alternate``), the fill rule of
+        :meth:`fill_decision` read from the tables just updated, then
+        the buffer insert (``accept_bypassed``) or the L1 fill.  The
+        counters it keeps in locals are written back at the end.  The
+        hooks stay the scalar path and this loop's oracle.
+        """
+        mat, sldt, buffer = self.mat, self.sldt, self.buffer
+        params = self.machine.bypass
+        min_victim_freq = params.min_victim_freq
+        bypass_ratio = params.bypass_ratio
+        line_size = self._line_size
+        shift = cache._offset_bits
+        num_sets = cache._num_sets
+        assoc = cache._assoc
+        lrus = working_lrus(cache)
+        # MAT
+        tags, counters = mat._tags, mat._counters
+        mat_shift, mat_entries = mat._mb_shift, mat._entries
+        counter_max, age_interval = mat.counter_max, mat.age_interval
+        since_aging, replacements = mat._since_aging, mat.replacements
+        # SLDT
+        table, spatial = sldt._table, sldt._spatial
+        sldt_capacity = sldt._capacity
+        line_shift, word_mask = sldt._line_shift, sldt._word_mask
+        sldt_shift = sldt._mb_shift
+        spatial_max = sldt.params.spatial_counter_max
+        spatial_min = sldt.params.spatial_counter_min
+        threshold = sldt.params.spatial_threshold
+        promotions = sldt.spatial_promotions
+        demotions = sldt.spatial_demotions
+        # Bypass buffer: double word -> dirty flag, in LRU order.
+        words, buffer_capacity = buffer._words, buffer.capacity
+        word_shift = buffer.WORD_SHIFT
+        buffer_hits = buffer_misses = insertions = 0
+
+        miss, demand, served = array("q"), array("q"), array("q")
+        wb_idx, wb_lines = array("q"), array("q")
+        miss_append, demand_append = miss.append, demand.append
+        free_fills, bypassed, occupancy = array("q"), array("q"), array("q")
+        evictions = dirty_evictions = 0
+        n = addrs.size
+        for base in range(0, n, CHUNK):
+            for i, addr, w in zip(
+                count(base),
+                addrs[base : base + CHUNK].tolist(),
+                writes[base : base + CHUNK].tolist(),
+            ):
+                # MAT: count the access in its macro-block's slot.
+                mb = addr >> mat_shift
+                slot = mb % mat_entries
+                if tags[slot] == mb:
+                    if counters[slot] < counter_max:
+                        counters[slot] += 1
+                else:
+                    if tags[slot] != -1:
+                        replacements += 1
+                    tags[slot] = mb
+                    counters[slot] = 1
+                since_aging += 1
+                if since_aging >= age_interval:
+                    since_aging = 0
+                    counters[:] = [value >> 1 for value in counters]
+                # SLDT: move the line to MRU; a new line retires the LRU
+                # entry of a full table and judges it.
+                line = addr >> line_shift
+                touched = table.pop(line, 0)
+                if not touched and len(table) >= sldt_capacity:
+                    old_line = next(iter(table))
+                    old_words = table.pop(old_line)
+                    old_mb = (old_line << line_shift) >> sldt_shift
+                    spatial_count = spatial.get(old_mb, 0)
+                    if old_words & (old_words - 1):
+                        if spatial_count < spatial_max:
+                            spatial_count += 1
+                        promotions += 1
+                    else:
+                        if spatial_count > spatial_min:
+                            spatial_count -= 1
+                        demotions += 1
+                    spatial[old_mb] = spatial_count
+                table[line] = touched | 1 << ((addr >> 3) & word_mask)
+                # L1 lookup.
+                ln = addr >> shift
+                lru = lrus[ln % num_sets]
+                prev = lru.pop(ln, _MISS)
+                if prev is not _MISS:
+                    lru[ln] = prev or w
+                    continue
+                miss_append(i)
+                if track:
+                    occupancy.append(len(words))
+                dword = addr >> word_shift
+                if dword in words:  # served in place from the buffer
+                    words.move_to_end(dword)
+                    if w:
+                        words[dword] = True
+                    buffer_hits += 1
+                    served.append(i)
+                    continue
+                buffer_misses += 1
+                demand_append(i)
+                if len(lru) >= assoc:
+                    victim = next(iter(lru))
+                    # fill_decision: the incoming line was just counted,
+                    # so its slot holds its macro-block.
+                    victim_addr = victim * line_size
+                    victim_mb = victim_addr >> mat_shift
+                    victim_slot = victim_mb % mat_entries
+                    victim_freq = (
+                        counters[victim_slot]
+                        if tags[victim_slot] == victim_mb
+                        else 0
+                    )
+                    if (
+                        victim_freq >= min_victim_freq
+                        and spatial.get(addr >> sldt_shift, 0) < threshold
+                        and counters[slot] < victim_freq * bypass_ratio
+                        and spatial.get(victim_addr >> sldt_shift, 0)
+                        < threshold
+                    ):
+                        # accept_bypassed: the double word just missed
+                        # the buffer, so it enters as a new entry.
+                        if track:
+                            bypassed.append(i)
+                        if len(words) >= buffer_capacity:
+                            old_dword, old_dirty = words.popitem(last=False)
+                            if old_dirty:
+                                wb_idx.append(i)
+                                wb_lines.append(
+                                    (old_dword << word_shift) // line_size
+                                )
+                        words[dword] = w
+                        insertions += 1
+                        continue
+                    evictions += 1
+                    if lru.pop(victim):
+                        dirty_evictions += 1
+                        wb_idx.append(i)
+                        wb_lines.append(victim)
+                elif track:
+                    free_fills.append(i)
+                lru[ln] = w
+
+        mat._since_aging, mat.replacements = since_aging, replacements
+        sldt.spatial_promotions, sldt.spatial_demotions = promotions, demotions
+        buffer.hits += buffer_hits
+        buffer.misses += buffer_misses
+        buffer.insertions += insertions
+        self._hits += buffer_hits
+        self._bypassed += insertions
+        columns = [miss, demand, served, wb_idx, wb_lines]
+        if track:
+            occupancy.append(len(words))
+            columns += [free_fills, bypassed, occupancy]
+        return commit_filter(
+            cache, lrus, n, evictions, dirty_evictions, columns, track
+        )
 
     def on_l1_evict(self, block: CacheBlock) -> Optional[CacheBlock]:
         return block  # bypassing does not capture evictions

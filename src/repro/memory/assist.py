@@ -132,6 +132,21 @@ class AssistInterface(abc.ABC):
         """
         return None
 
+    def filter_l1(self, cache, addrs, writes, track: bool = False):
+        """Run one span's L1D accesses in record order with this assist.
+
+        For an assist without victim caches:
+        :meth:`repro.memory.hierarchy.MemoryHierarchy.bulk_classify`
+        calls this on ``cache`` (the live L1D) and replays L2 in bulk
+        from what it returns.  The default is
+        :func:`repro.memory.bulk.filter_assist`, which drives this
+        assist's hooks; an override must return the same tuple and
+        leave the same state behind.
+        """
+        from repro.memory.bulk import filter_assist
+
+        return filter_assist(self, cache, addrs, writes, track=track)
+
     # ------------------------------------------------------------------
     # aggregate counters surfaced into HierarchySnapshot
 

@@ -51,10 +51,12 @@ The key decompositions, each exact rather than approximate:
   Bypassing decides on each L1 miss whether the line is installed, so
   L1 no longer factorises over sets.  But the MAT, the SLDT and the
   bypass buffer never read L2 or the TLBs, and L2 never feeds back
-  into them, so :func:`filter_assist` runs only the L1D lookups and
-  fills in record order, calling the live assist's own hooks; L2 and
-  the TLBs are still replayed per set from the misses and writebacks
-  it emits.
+  into them, so the assist's ``filter_l1`` runs only the L1D lookups
+  and fills in record order; L2 and the TLBs are still replayed per
+  set from the misses and writebacks it emits.  The default,
+  :func:`filter_assist`, calls the live assist's own hooks (stream
+  buffers take it); the bypass assist runs a fused loop with its
+  tables inline (``repro.hwopt.controller.CacheBypassAssist``).
 
 Latency never feeds back into any of these structures, which is what
 makes the phase split legal — see the bit-identity note in
@@ -96,6 +98,8 @@ __all__ = [
     "replay_l2",
     "filter_victims",
     "filter_assist",
+    "working_lrus",
+    "commit_filter",
     "replay_shadow",
 ]
 
@@ -114,9 +118,9 @@ _FAST_PATH_MIN = 64
 #: within a few distinct lines.
 _FAST_PROBE = 96
 
-#: Accesses converted to Python ints at a time by :func:`filter_assist`,
-#: so a long span never holds whole-span lists.
-_CHUNK = 4096
+#: Accesses converted to Python ints at a time by the record-order L1
+#: filters, so a long span never holds whole-span lists.
+CHUNK = 4096
 
 
 def _set_order(sets: np.ndarray, num_sets: int):
@@ -875,26 +879,63 @@ def filter_victims(
     )
 
 
+def working_lrus(cache) -> list[dict]:
+    """Per-set working LRUs of a live cache for a record-order filter.
+
+    Each is a plain dict ``line -> dirty`` whose insertion order is the
+    LRU order (as in :func:`replay_cache`); :func:`commit_filter` writes
+    them back to the live sets.
+    """
+    return [{ln: blk.dirty for ln, blk in od.items()} for od in cache._sets]
+
+
+def commit_filter(
+    cache, lrus, n, evictions, dirty_evictions, columns, track
+):
+    """End a record-order L1 filter: write back L1, return its columns.
+
+    Replaces the live sets with the working ``lrus``, adds the span's
+    ``n`` accesses, its misses (``columns[0]``) and evictions to the
+    statistics, and converts ``columns`` (``array('q')`` each) to the
+    tuple :func:`filter_assist` returns.
+    """
+    for od, lru in zip(cache._sets, lrus):
+        od.clear()
+        for ln, dirty in lru.items():
+            od[ln] = CacheBlock(ln, dirty)
+
+    misses = len(columns[0])
+    stats = cache.stats
+    stats.accesses += n
+    stats.hits += n - misses
+    stats.misses += misses
+    stats.evictions += evictions
+    stats.writebacks += dirty_evictions
+    arrays = [
+        np.frombuffer(col, dtype=np.int64) if col else _EMPTY_I64
+        for col in columns
+    ]
+    return (*arrays[:5], tuple(arrays[5:]) if track else None)
+
+
 def filter_assist(
     assist, cache, addrs: np.ndarray, writes: np.ndarray, track: bool = False
 ):
     """Run the L1 half of ``data_access`` in record order with a live assist.
 
-    For an assist without victim caches (bypassing, stream buffers),
-    whose L1 eviction and L2-side hooks are pass-throughs.  Such an
+    The default :meth:`repro.memory.assist.AssistInterface.filter_l1`,
+    for an assist without victim caches whose L1 eviction and L2-side
+    hooks are pass-throughs: stream buffers take it.  The bypass assist
+    overrides ``filter_l1`` with a fused loop that does what its hooks
+    do inline; run on it, this function is that loop's oracle.  Such an
     assist never reads L2, the TLBs or simulated time, and L2 never
     feeds back into L1 or the assist, so only the L1 lookup, the
     assist's hooks and the L1 fill need the access order; the caller
     replays L2 in bulk afterwards.  Per access, as the scalar
-    ``data_access`` does: look up L1; on a miss, ``note_access``,
+    ``data_access`` does: look up L1 and ``note_access``; on a miss,
     ``lookup_alternate`` (a hit is served by the assist, installing
     any promoted block), else ``fill_decision`` against the line a fill
     would evict, then the fill or ``accept_bypassed``.
-
-    L1 hits call only ``note_access``, and nothing reads what it
-    records before the next miss's hooks, so the notes of a run of hits
-    are made in a batch just before that miss (and at the end of each
-    chunk).
 
     Mutates the live L1 sets and statistics and the assist.  Returns
     ``(miss, demand, served, wb_idx, wb_lines, tracked)`` as int64
@@ -913,10 +954,7 @@ def filter_assist(
     shift = cache._offset_bits
     num_sets = cache._num_sets
     assoc = cache._assoc
-    cache_sets = cache._sets
-    # Working LRU per set: line -> dirty flag, insertion order = LRU
-    # order (as in replay_cache); written back to the live sets at the end.
-    lrus = [{ln: blk.dirty for ln, blk in od.items()} for od in cache_sets]
+    lrus = working_lrus(cache)
     note = assist.note_access
     lookup_alternate = assist.lookup_alternate
     fill_decision = assist.fill_decision
@@ -927,23 +965,20 @@ def filter_assist(
     # Interval sampling only (see ``tracked`` above).
     free_fills, bypassed, occupancy = array("q"), array("q"), array("q")
     evictions = dirty_evictions = 0
-    for base in range(0, n, _CHUNK):
-        addr_list = addrs[base : base + _CHUNK].tolist()
-        write_list = writes[base : base + _CHUNK].tolist()
-        noted = 0  # chunk offset of the first access not yet noted
-        for k, addr, w in zip(count(), addr_list, write_list):
+    for base in range(0, n, CHUNK):
+        for i, addr, w in zip(
+            count(base),
+            addrs[base : base + CHUNK].tolist(),
+            writes[base : base + CHUNK].tolist(),
+        ):
             ln = addr >> shift
             lru = lrus[ln % num_sets]
             prev = lru.pop(ln, _MISS)
             if prev is not _MISS:
                 lru[ln] = prev or w
+                note(addr, w, True)
                 continue
-            if noted < k:
-                for a, wr in zip(addr_list[noted:k], write_list[noted:k]):
-                    note(a, wr, True)
             note(addr, w, False)
-            noted = k + 1
-            i = base + k
             miss_append(i)
             if track:
                 occupancy.append(assist.occupancy)
@@ -980,28 +1015,14 @@ def filter_assist(
             elif track:
                 free_fills.append(i)
             lru[ln] = w
-        for a, wr in zip(addr_list[noted:], write_list[noted:]):
-            note(a, wr, True)
-    for od, lru in zip(cache_sets, lrus):
-        od.clear()
-        for ln, dirty in lru.items():
-            od[ln] = CacheBlock(ln, dirty)
 
-    stats = cache.stats
-    stats.accesses += n
-    stats.hits += n - len(miss)
-    stats.misses += len(miss)
-    stats.evictions += evictions
-    stats.writebacks += dirty_evictions
     columns = [miss, demand, served, wb_idx, wb_lines]
     if track:
         occupancy.append(assist.occupancy)
         columns += [free_fills, bypassed, occupancy]
-    arrays = [
-        np.frombuffer(col, dtype=np.int64) if col else _EMPTY_I64
-        for col in columns
-    ]
-    return (*arrays[:5], tuple(arrays[5:]) if track else None)
+    return commit_filter(
+        cache, lrus, n, evictions, dirty_evictions, columns, track
+    )
 
 
 def replay_shadow(cache, lines: np.ndarray, hit: np.ndarray) -> None:

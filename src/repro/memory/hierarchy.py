@@ -184,10 +184,13 @@ class MemoryHierarchy:
         The L1 filter decides which misses reach L2 and which displaced
         dirty lines are written back to it; the L2 filter runs after
         the L2 replay.  Any other assist (bypassing, stream buffers)
-        decides L1 placement itself, so
-        :func:`repro.memory.bulk.filter_assist` runs the L1D half of
-        :meth:`data_access` in record order against the live assist;
-        such an assist must leave evictions and L2 to the hierarchy
+        decides L1 placement itself, so its ``filter_l1`` runs the L1D
+        half of :meth:`data_access` in record order against the live
+        assist: stream buffers through their hooks
+        (:func:`repro.memory.bulk.filter_assist`), the bypass assist
+        through a fused loop whose oracle is that same hook-driven
+        filter and the scalar hooks.  Such an assist must leave
+        evictions and L2 to the hierarchy
         (its ``on_l1_evict``/``on_l2_evict`` return the block and its
         ``lookup_l2_alternate`` returns None), which is what lets L2 be
         replayed in bulk from the demand misses and writebacks it
@@ -219,11 +222,7 @@ class MemoryHierarchy:
         """
         import numpy as np
 
-        from repro.memory.bulk import (
-            counter_steps,
-            filter_assist,
-            filter_victims,
-        )
+        from repro.memory.bulk import counter_steps, filter_victims
 
         l1d, l1i, l2 = self.l1d, self.l1i, self.l2
         assist = self.assist if self.assist and self.assist.enabled else None
@@ -253,7 +252,7 @@ class MemoryHierarchy:
             # with the L1D lookups and fills in record order.
             (
                 d_miss, dm_pos, served_pos, wb_pos, wb_lines, tracked,
-            ) = filter_assist(assist, l1d, addrs, writes, track=sample)
+            ) = assist.filter_l1(l1d, addrs, writes, track=sample)
             dm_lines = d_lines[dm_pos]
             if l1d._classify:
                 d_hit = np.ones(addrs.size, dtype=bool)

@@ -7,9 +7,10 @@ server, sabotaging chosen connections according to a
 * ``drop``     — the connection is closed the moment it is accepted,
   before a single byte is forwarded (connection refused, mid-handshake
   LB failure);
-* ``stall``    — upstream bytes are forwarded until the first response
-  chunk, then the stream freezes for ``amount`` seconds (half-dead
-  peer, network partition) before resuming;
+* ``stall``    — the first response chunk is held back and the stream
+  freezes for ``amount`` seconds (half-dead peer, network partition)
+  before resuming, so the client has no byte of the response while
+  it waits;
 * ``truncate`` — at most ``amount`` response bytes are forwarded, then
   both sides are closed (crash mid-response; lands mid-NDJSON-event by
   construction for the service's event streams).
@@ -231,13 +232,12 @@ class ChaosProxy:
                     if forwarded >= int(fault.amount):
                         return  # cut mid-response
                     continue
-                downstream.sendall(chunk)
-                forwarded += len(chunk)
                 if fault is not None and fault.kind == STALL and not stalled:
                     stalled = True
-                    # Freeze after the first forwarded chunk; wake early
-                    # if the proxy is torn down.
+                    # Freeze before the first chunk is forwarded; wake
+                    # early if the proxy is torn down.
                     if self._stop.wait(fault.amount):
                         return
+                downstream.sendall(chunk)
         except OSError:
             pass

@@ -30,6 +30,7 @@ from repro.core.versions import make_assist, prepare_codes
 from repro.cpu.pipeline import CPUSimulator
 from repro.isa.instructions import Opcode
 from repro.isa.packed import PackedTrace
+from repro.memory.assist import ASSIST_HIT_CYCLES
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.params import base_config, higher_mem_latency
 from repro.telemetry import Telemetry
@@ -332,15 +333,29 @@ class TestMemoScope:
 
 def test_assist_hits_must_cost_the_coded_latency():
     """The replay records only that an access was assist-served, so an
-    assist hit with another extra latency is refused, not mistimed."""
+    assist hit with another extra latency is refused, not mistimed.
+    Stream buffers run the hook-driven L1 filter, which checks it."""
     machine = _machine()
-    assist = make_assist("bypass", machine)
+    assist = make_assist("prefetch", machine)
     assist.lookup_alternate = lambda addr, line, is_write=False: (2, None)
     simulator = CPUSimulator(
         machine, MemoryHierarchy(machine, assist), vectorize=True
     )
     with pytest.raises(ValueError, match="assist hit costs 2 cycles"):
         simulator.run(_long_trace())
+
+
+def test_bypass_buffer_hits_cost_the_coded_latency():
+    """The bypass assist's fused L1 filter never calls
+    ``lookup_alternate`` and charges every buffer hit
+    ``ASSIST_HIT_CYCLES``, so the scalar hook must cost the same."""
+    assist = make_assist("bypass", _machine())
+    assert assist.lookup_alternate(0x1000, 0x1000 >> 5) is None
+    assist.buffer.insert(0x1000)
+    assert assist.lookup_alternate(0x1000, 0x1000 >> 5, True) == (
+        ASSIST_HIT_CYCLES,
+        None,
+    )
 
 
 def test_pickled_codes_never_carry_the_memo():

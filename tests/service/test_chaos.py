@@ -2,8 +2,8 @@
 
 A :class:`~repro.service.chaos.ChaosProxy` sits between the stdlib
 client and a live server, deterministically dropping connections,
-stalling responses mid-flight, and truncating NDJSON mid-event.  The
-acceptance bar for every mode is the same: the request sequence
+stalling responses before their first byte, and truncating NDJSON
+mid-event.  The acceptance bar for every mode is the same: the request sequence
 completes and the result document is **bit-identical** to what a
 clean connection returns — chaos may cost retries, never correctness.
 
@@ -78,12 +78,32 @@ class TestFaultModes:
             _run_through(proxy, server, reference)
             assert proxy.faults["drop"] >= 1
 
-    def test_stalled_responses_are_survived(self, server, reference):
+    def test_stalled_responses_are_survived(
+        self, server, reference, monkeypatch
+    ):
         # Stall far past the client's read timeout so the timeout path
-        # (not patience) is what recovers.
+        # (not patience) is what recovers: the stall holds back the
+        # first response byte, so a request's read times out and the
+        # client retries it.
+        outcomes = []
+        request_once = ServiceClient._request_once
+
+        def spy(client, *args):
+            try:
+                response = request_once(client, *args)
+            except TimeoutError:
+                outcomes.append("timeout")
+                raise
+            outcomes.append("ok")
+            return response
+
+        monkeypatch.setattr(ServiceClient, "_request_once", spy)
         plan = NetworkFaultPlan.parse("stall:3:10")
         with ChaosProxy("127.0.0.1", server.port, plan) as proxy:
             _run_through(proxy, server, reference, timeout=1.0)
+            assert proxy.faults["stall"] >= 1
+        assert "timeout" in outcomes
+        assert "ok" in outcomes[outcomes.index("timeout") :]
 
     def test_truncated_responses_are_survived(self, server, reference):
         plan = NetworkFaultPlan.parse("truncate:2:150")
