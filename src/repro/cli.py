@@ -483,26 +483,17 @@ def _cmd_list() -> int:
 
 def _run_with_telemetry(codes, machine, interval: int):
     """Sequential run of all versions, one telemetry hub per version."""
-    from repro.core.experiment import BenchmarkRun, simulate_trace
-    from repro.core.versions import MECHANISMS
+    from repro.core.experiment import (
+        BenchmarkRun,
+        simulate_trace,
+        version_simulations,
+    )
 
     run = BenchmarkRun(codes.name, codes.category, machine.name)
     hubs: dict[str, Telemetry] = {}
-    plan = [
-        ("base", codes.base_trace, None, True),
-        ("pure_sw", codes.optimized_trace, None, True),
-    ]
-    for mechanism in MECHANISMS:
-        plan += [
-            (f"pure_hw/{mechanism}", codes.base_trace, mechanism, True),
-            (f"combined/{mechanism}", codes.optimized_trace, mechanism, True),
-            (f"selective/{mechanism}", codes.selective_trace, mechanism, False),
-        ]
-    for key, trace, mechanism, initially_on in plan:
+    for key, args in version_simulations(codes, machine):
         hub = Telemetry(interval=interval, name=f"{codes.name}/{key}")
-        run.results[key] = simulate_trace(
-            trace, machine, mechanism, initially_on, telemetry=hub
-        )
+        run.results[key] = simulate_trace(*args, telemetry=hub)
         hubs[key] = hub
     return run, hubs
 

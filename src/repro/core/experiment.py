@@ -15,10 +15,12 @@ from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.stats import clone_stats
 from repro.params import MachineParams
 from repro.core.versions import MECHANISMS, BenchmarkCodes, make_assist
-from repro.cpu.vector import MIN_VECTOR_SPAN, retime
+from repro.cpu.vector import MIN_VECTOR_SPAN, retime, shortest_span
 
 __all__ = [
     "BenchmarkRun",
+    "collect_run",
+    "distinct_runs",
     "expected_version_keys",
     "run_benchmark",
     "simulate_trace",
@@ -66,23 +68,30 @@ def simulate_trace(
     so the returned result is bit-identical either way.
 
     ``vectorize`` forwards to :class:`CPUSimulator`: None runs the
-    numpy kernels (markers and short spans step through the scalar
-    loop), False pins the scalar loop, True forces the kernels onto
-    short spans too (benchmarks and equivalence tests).  All three
-    settings produce bit-identical results and telemetry.
+    numpy kernels (short spans, and markers under telemetry, step
+    through the scalar loop), False pins the scalar loop, True forces
+    the kernels onto short spans too (benchmarks and equivalence
+    tests).  All three settings produce bit-identical results and
+    telemetry.
 
-    A run that the kernels take as one span (a packed trace with no
-    HW_ON/HW_OFF markers, no telemetry) keeps its replay in a memo on
-    the trace: one entry per assist setting (``mechanism``,
-    ``initially_on``, ``classify_misses``), holding the machine's
-    structure (every field but the timing ones, see :func:`_structure`).
+    A run whose every span the kernels take (a packed trace, with or
+    without HW_ON/HW_OFF markers, and no telemetry) keeps its
+    whole-trace replay in a memo on the trace: one entry per assist
+    setting (``mechanism``, ``initially_on``, ``classify_misses``),
+    holding the machine's structure (every field but the timing ones,
+    see :func:`_structure`).
     A later run of the same trace object with that setting, on a
     machine of the same structure — Table 3's "Higher Mem. Lat."
     against the base machine — runs the timing fold alone on that
     replay.  Nothing the replay records depends on timing, so its
     result is the one a full run gives.  A run on another structure
     replaces the entry.  The memo lives as long as the trace and is
-    never pickled.
+    never pickled.  Runs with a span under ``MIN_VECTOR_SPAN`` and
+    telemetry runs never touch it.
+
+    :func:`run_benchmark` also skips the versions that repeat another
+    one (see :func:`distinct_runs`); this function simulates whatever
+    it is given.
     """
     key = _memo_key(
         trace, machine, mechanism, initially_on, classify_misses,
@@ -154,8 +163,8 @@ def _memo_key(
 ):
     """``(assist setting, shape)`` of a run for the replay memo, or
     None when the memo does not apply: the scalar loop, telemetry, an
-    object trace (packed afresh for every run), or a run the kernels
-    do not take as one span."""
+    object trace (packed afresh for every run), or a run in which the
+    scalar loop takes a span."""
     if (
         telemetry is not None
         or vectorize is False
@@ -163,9 +172,9 @@ def _memo_key(
     ):
         return None
     records = len(trace)
-    if records == 0 or trace.marker_positions().size:
+    if records == 0:
         return None
-    if records < MIN_VECTOR_SPAN and not vectorize:
+    if not vectorize and shortest_span(trace) < MIN_VECTOR_SPAN:
         return None
     # The length guards against a trace extended after its replay.
     return (
@@ -267,6 +276,54 @@ def version_simulations(
     return plan
 
 
+def distinct_runs(codes: BenchmarkCodes, plan) -> list[int]:
+    """For each entry of ``plan`` (from :func:`version_simulations`),
+    the index of its first entry that is the same run.
+
+    A run is its trace's records, its effective assist setting and
+    ``classify_misses``.  The gate of a marker-free trace that starts
+    off never opens, so the run is one with no assist: on regular codes
+    ``selective/*`` repeats ``pure_sw``.  Irregular codes
+    leave the optimizer unchanged, so there ``pure_sw`` repeats
+    ``base`` and ``combined/*`` repeats ``pure_hw/*``.  Two runs with
+    one identity give equal results in every field but ``trace_name``.
+    """
+    traces = codes.traces()
+    kinds = codes.trace_kinds()
+    seen: dict[tuple, int] = {}
+    firsts = []
+    for i, (_, args) in enumerate(plan):
+        trace, _, mechanism, initially_on, *rest = args
+        kind = kinds[next(j for j, t in enumerate(traces) if t is trace)]
+        if mechanism and not initially_on and not kind.markers:
+            mechanism, initially_on = None, True
+        classify = bool(rest and rest[0])
+        identity = (kind.same_as, mechanism, initially_on, classify)
+        firsts.append(seen.setdefault(identity, i))
+    return firsts
+
+
+def collect_run(
+    codes: BenchmarkCodes,
+    machine: MachineParams,
+    plan,
+    firsts: list[int],
+    simulated: dict[int, SimulationResult],
+) -> BenchmarkRun:
+    """The :class:`BenchmarkRun` of ``plan`` from the results of its
+    distinct runs (``simulated``, keyed by plan index; ``firsts`` from
+    :func:`distinct_runs`).  A repeat is a copy of its first run's
+    result under its own trace name."""
+    run = BenchmarkRun(codes.name, codes.category, machine.name)
+    for i, ((key, args), first) in enumerate(zip(plan, firsts)):
+        run.results[key] = (
+            simulated[i]
+            if first == i
+            else _copy(simulated[first], trace_name=args[0].name)
+        )
+    return run
+
+
 def run_benchmark(
     codes: BenchmarkCodes,
     machine: MachineParams,
@@ -274,10 +331,11 @@ def run_benchmark(
     classify_misses: bool = False,
 ) -> BenchmarkRun:
     """Simulate base + the four versions (per mechanism) of a benchmark,
-    wired as :func:`version_simulations` lists them."""
-    run = BenchmarkRun(codes.name, codes.category, machine.name)
-    for key, args in version_simulations(
-        codes, machine, mechanisms, classify_misses
-    ):
-        run.results[key] = simulate_trace(*args)
-    return run
+    wired as :func:`version_simulations` lists them, each distinct run
+    once (see :func:`distinct_runs`)."""
+    plan = version_simulations(codes, machine, mechanisms, classify_misses)
+    firsts = distinct_runs(codes, plan)
+    simulated = {
+        i: simulate_trace(*plan[i][1]) for i in dict.fromkeys(firsts)
+    }
+    return collect_run(codes, machine, plan, firsts, simulated)

@@ -41,6 +41,8 @@ from typing import (
 from repro.compiler.optimizer import LocalityOptimizer
 from repro.core.experiment import (
     BenchmarkRun,
+    collect_run,
+    distinct_runs,
     expected_version_keys,
     run_benchmark,
     simulate_trace,
@@ -411,28 +413,30 @@ def run_benchmark_parallel(
 ) -> BenchmarkRun:
     """Parallel drop-in for :func:`repro.core.experiment.run_benchmark`.
 
-    Fans the individual version simulations (finer-grained than
-    :func:`run_grid`'s cells) through :func:`run_cells`; used by the
-    single-benchmark CLI path where there is only one grid cell to
-    split.  Results are reassembled in the canonical version-key order,
-    so the returned :class:`BenchmarkRun` is indistinguishable from a
-    sequential one.  A simulation that exhausts its retries raises
+    Fans the distinct version simulations (finer-grained than
+    :func:`run_grid`'s cells; see
+    :func:`~repro.core.experiment.distinct_runs`) through
+    :func:`run_cells`; used by the single-benchmark CLI path where
+    there is only one grid cell to split.  Results are reassembled in
+    the canonical version-key order, repeats copied, so the returned
+    :class:`BenchmarkRun` is indistinguishable from a sequential one.
+    A simulation that exhausts its retries raises
     :class:`~repro.core.parallel.SweepInterrupted`.
     """
     plan = version_simulations(codes, machine, mechanisms, classify_misses)
+    firsts = distinct_runs(codes, plan)
+    distinct = list(dict.fromkeys(firsts))
     values = run_cells(
         (
             Cell(
-                f"{codes.name}/{key}",
+                f"{codes.name}/{plan[i][0]}",
                 machine.name,
                 _simulate_cell,
-                task_factory(args),
+                task_factory(plan[i][1]),
             )
-            for key, args in plan
+            for i in distinct
         ),
         resolve_jobs(jobs),
     )
-    run = BenchmarkRun(codes.name, codes.category, machine.name)
-    for (key, _), value in zip(plan, values):
-        run.results[key] = value
-    return run
+    simulated = dict(zip(distinct, values))
+    return collect_run(codes, machine, plan, firsts, simulated)

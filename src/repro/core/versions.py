@@ -20,14 +20,14 @@ sensitivity configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
 
 from repro.compiler.optimizer import LocalityOptimizer, OptimizationReport
 from repro.compiler.regions.detect import RegionReport
 from repro.compiler.regions.markers import MarkerReport, insert_markers
 from repro.hwopt.controller import CacheBypassAssist, VictimCacheAssist
-from repro.isa.packed import AnyTrace
+from repro.isa.packed import AnyTrace, as_packed
 from repro.memory.assist import AssistInterface
 from repro.params import MachineParams
 from repro.tracegen.interpreter import TraceGenerator
@@ -39,6 +39,7 @@ __all__ = [
     "BYPASS",
     "VICTIM",
     "BenchmarkCodes",
+    "TraceKind",
     "prepare_codes",
     "make_assist",
 ]
@@ -74,6 +75,59 @@ class BenchmarkCodes:
     optimization: Optional[OptimizationReport]
     markers: Optional[MarkerReport]
     regions: Optional[RegionReport]
+    _kinds: tuple["TraceKind", ...] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        self._kinds = _trace_kinds(self.traces())
+
+    def traces(self) -> tuple[AnyTrace, AnyTrace, AnyTrace]:
+        """The base, optimized and selective traces."""
+        return (self.base_trace, self.optimized_trace, self.selective_trace)
+
+    def trace_kinds(self) -> tuple["TraceKind", ...]:
+        """A :class:`TraceKind` per trace of :meth:`traces`.
+
+        Worked out when the codes are built (a copy made with
+        ``dataclasses.replace`` works them out again) and pickled with
+        them, so worker processes never compare traces; worked out
+        again if a trace's length has changed since.
+        """
+        traces = self.traces()
+        if any(len(t) != kind.records for t, kind in zip(traces, self._kinds)):
+            self._kinds = _trace_kinds(traces)
+        return self._kinds
+
+
+class TraceKind(NamedTuple):
+    """What a run's identity needs to know of one trace of a benchmark."""
+
+    #: Its length when the kind was worked out.
+    records: int
+    #: Index (in :meth:`BenchmarkCodes.traces`) of the first trace with
+    #: the same records.  The optimizer leaves irregular codes as they
+    #: are (optimized == base), and regular codes get no markers
+    #: (selective == optimized).
+    same_as: int
+    #: Whether it holds HW_ON/HW_OFF markers.
+    markers: bool
+
+
+def _trace_kinds(traces) -> tuple[TraceKind, ...]:
+    packed = [as_packed(trace) for trace in traces]
+    kinds: list[TraceKind] = []
+    for i, trace in enumerate(packed):
+        same_as = next(
+            j
+            for j, other in enumerate(packed[: i + 1])
+            # Lengths first: equal columns compare with one memcmp each.
+            if len(other) == len(trace)
+            and other.columns() == trace.columns()
+        )
+        markers = bool(trace.marker_positions().size)
+        kinds.append(TraceKind(len(trace), same_as, markers))
+    return tuple(kinds)
 
 
 def prepare_codes(

@@ -63,8 +63,9 @@ Bypassing (and the stream-buffer extension) changes what L1 holds, but
 its MAT, SLDT and buffer never read L2, the TLBs, the predictor or
 time, and L2 never feeds back into them: only the L1D lookups and the
 assist's hooks run in record order, and the rest of the segment stays
-in bulk.  The vector kernels resume mid-trace after every scalar
-marker record.
+in bulk.  Each marker toggles the gate and then heads the next segment
+(under telemetry it is one scalar step, and the kernels resume after
+it).
 
 The replay phase reads no latency at all: it yields an outcome code
 per access and fetch (where it was served from, and whether its TLB
@@ -74,12 +75,13 @@ fields (:func:`repro.memory.hierarchy.outcome_timing`).  So a replay
 made on one machine times exactly on any machine that differs from it
 only in those fields — cache and TLB latencies, memory latency and bus
 width, issue width, ports, LSQ, MSHRs and the mispredict penalty.
-``repro.core.experiment.simulate_trace`` uses this for runs that take
-the kernels as one span (no markers, no telemetry): it keeps the
-latest replay of each assist setting on the trace and reruns only the
-timing phase for such a machine.  Markered traces, L2-only changes
-that could reuse the L1 side, and cells in forked workers are not
-covered.
+``repro.core.experiment.simulate_trace`` uses this for runs whose
+every segment took the kernels (no telemetry; markered traces
+included, since each marker's fetch rides in the segment it heads): it
+keeps the latest whole-trace replay of each assist setting on the
+trace and reruns only the timing phase for such a machine.  Runs with
+a segment under ``MIN_VECTOR_SPAN`` (scalar), L2-only changes that
+could reuse the L1 side, and cells in forked workers are not covered.
 """
 
 from __future__ import annotations
@@ -192,8 +194,8 @@ class CPUSimulator:
         #: too; False pins the scalar loop (the equivalence tests'
         #: oracle).
         self.vectorize = vectorize
-        #: The last run's :class:`repro.cpu.vector.Replay` when the
-        #: kernels took its whole trace as one span, else None.
+        #: The last run's whole-trace :class:`repro.cpu.vector.Replay`
+        #: when the kernels took every record, else None.
         self.replay = None
 
     def run(self, trace: AnyTrace) -> SimulationResult:

@@ -34,17 +34,24 @@ order, through the assist's ``filter_l1``; L2 and the timing stay in
 bulk.  Stream buffers take the default, which drives the live assist's
 hooks (``repro.memory.bulk.filter_assist``).  The bypass assist runs
 one fused loop with its MAT, SLDT, buffer and fill rule inline; its
-scalar hooks, which marker records and short spans still call, are
-that loop's oracle.
-Marker records and spans under ``MIN_VECTOR_SPAN`` execute through the
-scalar ``_run_packed_range`` against the same shared ``_PackedState``,
-so the two execution styles alternate freely mid-trace.
+scalar hooks, which short spans still call, are that loop's oracle.
+Spans under ``MIN_VECTOR_SPAN`` execute through the scalar
+``_run_packed_range`` against the same shared ``_PackedState``, so the
+two execution styles alternate freely mid-trace.  A marker record
+heads the span after it: the gate toggles, and the kernels take the
+marker's issue slot and instruction fetch with that span (a fetch
+never consults the assist).  Under telemetry each marker is one scalar
+step instead, because the hub snapshots the hierarchy at the toggle.
 
-The replay reads no timing field.  A run that takes the whole trace
-as one span (no markers) leaves that span's :class:`Replay` on the
+The replay reads no timing field.  A run whose every record took the
+kernels leaves its spans' replays, joined in record order, on the
 simulator as ``CPUSimulator.replay``, and :func:`retime` folds it
-again, so ``repro.core.experiment.simulate_trace`` can time it on a
-machine that differs only in timing.
+again over the whole trace, markers included, so
+``repro.core.experiment.simulate_trace`` can time it on a machine
+that differs only in timing.  One fold across span boundaries equals
+the per-span folds: the LSQ, MSHR and refill-bus state carries over
+as it is, and so does the port ring, whose multiset is all that is
+observable (see the port note below).
 
 Interval-sampling telemetry takes this path too.  A sample reads the
 hierarchy's counters when the issue cycle crosses a threshold, so it
@@ -78,12 +85,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cpu.pipeline import CPUSimulator, _PackedState
     from repro.isa.packed import PackedTrace
 
-__all__ = ["Replay", "retime", "run_vectorized"]
+__all__ = ["Replay", "retime", "run_vectorized", "shortest_span"]
 
 _LOAD = int(Opcode.LOAD)
 _STORE = int(Opcode.STORE)
 _ALU = int(Opcode.ALU)
 _BRANCH = int(Opcode.BRANCH)
+_HW_ON = int(Opcode.HW_ON)
+_HW_OFF = int(Opcode.HW_OFF)
 
 #: Spans shorter than this run through the scalar loop: the fixed cost
 #: of ~20 numpy kernel launches outweighs per-record interpretation on
@@ -100,10 +109,10 @@ MIN_VECTOR_SPAN = 512
 
 
 class Replay(NamedTuple):
-    """The replay phase's outcome for one span: all the timing phase
-    reads of the memory system and the branch predictor, and no
-    latency (:func:`repro.memory.hierarchy.outcome_timing` supplies
-    those)."""
+    """The replay phase's outcome for one span (or, joined, a whole
+    trace): all the timing phase reads of the memory system and the
+    branch predictor, and no latency
+    (:func:`repro.memory.hierarchy.outcome_timing` supplies those)."""
 
     #: Outcome code of each memory operation (int8).
     data: np.ndarray
@@ -130,7 +139,10 @@ def run_vectorized(sim: "CPUSimulator", trace: "PackedTrace"):
 
     Dispatched from :meth:`CPUSimulator.run`; bit-identical to
     ``_run_packed``.  Sets ``sim.replay`` to the whole trace's replay
-    when the kernels ran it as one span, else to None.
+    when the kernels ran every record, else to None.  Without a
+    telemetry hub each marker heads the span after it; with one, each
+    marker is a single scalar step, so the hub's snapshot at the
+    toggle follows the marker's own fetch.
     """
     from repro.cpu.pipeline import _PackedState
 
@@ -138,19 +150,43 @@ def run_vectorized(sim: "CPUSimulator", trace: "PackedTrace"):
     ops, args, pcs = trace.numpy_columns()
     raw_cols = trace.columns()
     n = ops.size
-    markers = trace.marker_positions()
     force = sim.vectorize is True
+    step = sim.telemetry is not None
 
+    replays = []
     lo = 0
-    for m in markers.tolist():
-        _run_span(sim, state, ops, args, pcs, raw_cols, lo, m, force)
-        # The marker record itself: one scalar step (issue slot,
-        # telemetry boundary, gate toggle).
-        sim._run_packed_range(state, *raw_cols, m, m + 1)
-        lo = m + 1
-    replay = _run_span(sim, state, ops, args, pcs, raw_cols, lo, n, force)
-    sim.replay = None if markers.size else replay
+    for m in trace.marker_positions().tolist() + [n]:
+        if m > lo:
+            replays.append(
+                _run_span(sim, state, ops, args, pcs, raw_cols, lo, m, force)
+            )
+        lo = m
+        if step and m < n:
+            sim._run_packed_range(state, *raw_cols, m, m + 1)
+            replays.append(None)
+            lo = m + 1
+    sim.replay = _joined(replays)
     return sim._finalize_packed(trace.name, state)
+
+
+def shortest_span(trace: "PackedTrace") -> int:
+    """Records in the shortest span :func:`run_vectorized` cuts
+    ``trace`` into without a telemetry hub (each marker heads the span
+    after it); 0 for an empty trace."""
+    bounds = np.concatenate(([0], trace.marker_positions(), [len(trace)]))
+    spans = np.diff(bounds)
+    spans = spans[spans > 0]
+    return int(spans.min()) if spans.size else 0
+
+
+def _joined(replays):
+    """One :class:`Replay` of the spans' replays in record order, or
+    None if any span ran on the scalar loop (or there were none)."""
+    if not replays or any(replay is None for replay in replays):
+        return None
+    if len(replays) == 1:
+        return replays[0]
+    return Replay(*(np.concatenate(parts) for parts in zip(*replays)))
 
 
 def retime(machine, trace: "PackedTrace", replay: Replay) -> int:
@@ -161,7 +197,8 @@ def retime(machine, trace: "PackedTrace", replay: Replay) -> int:
     ``machine`` at most in its timing fields.  Nothing in the replay
     depends on those (see the bit-identity note in
     :mod:`repro.cpu.pipeline`), so the cycles are those a full run
-    would give.
+    would give.  Markers fold as the one-slot records they are; the
+    gate state they set is already in the replay's outcome codes.
     """
     from repro.cpu.pipeline import _PackedState
 
@@ -173,14 +210,17 @@ def retime(machine, trace: "PackedTrace", replay: Replay) -> int:
 
 
 def _run_span(sim, state, ops, args, pcs, raw_cols, lo, hi, force):
-    """Run records ``lo..hi-1`` (no markers inside) the fastest legal
-    way; return the span's :class:`Replay`, or None if the scalar loop
-    ran it."""
-    if hi <= lo:
-        return None
+    """Run records ``lo..hi-1`` (no marker but at ``lo``) the fastest
+    legal way; return the span's :class:`Replay`, or None if the scalar
+    loop ran it."""
     if hi - lo < MIN_VECTOR_SPAN and not force:
         sim._run_packed_range(state, *raw_cols, lo, hi)
         return None
+    head = raw_cols[0][lo]
+    if head == _HW_ON:
+        sim.gate.activate()
+    elif head == _HW_OFF:
+        sim.gate.deactivate()
     return _simulate_span(sim, state, ops[lo:hi], args[lo:hi], pcs[lo:hi])
 
 

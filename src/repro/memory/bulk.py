@@ -66,15 +66,17 @@ returns per-access outcome codes (where each access was served from,
 and whether its TLB missed), which
 :func:`repro.memory.hierarchy.outcome_timing` alone turns into cycles.
 So one replay serves every machine that differs only in timing fields.
-``repro.core.experiment.simulate_trace`` keeps the replay of each
-one-span run (a packed trace without HW_ON/HW_OFF markers, and no
-telemetry) on the trace, one per assist setting, and reruns only the
-timing fold when the same trace object meets such a machine next:
-Table 3's "Higher Mem. Lat." after the base machine.  A run on another
-cache structure replaces the setting's replay.  It does not cover:
+``repro.core.experiment.simulate_trace`` keeps the whole-trace replay
+of each run whose every span took these kernels (a packed trace, no
+telemetry; a marker heads the span after it, so its fetch rides in
+that span's replay) on the trace, one per assist setting, and reruns
+only the timing fold when the same trace object meets such a machine
+next: Table 3's "Higher Mem. Lat." after the base machine.  A run on
+another cache structure replaces the setting's replay.  It does not
+cover:
 
-* selective traces with markers, which step through the scalar loop at
-  each marker (ROADMAP, "Markers as fold events");
+* runs with a span under ``repro.cpu.vector.MIN_VECTOR_SPAN``, which
+  the scalar loop takes (tpcc's selective trace at TINY);
 * reusing the L1 side for machines that change only L2;
 * cells run in forked workers (the service, and ``jobs > 1``), where
   each cell's process sees each trace once.

@@ -1,13 +1,15 @@
 """The replay memo of ``simulate_trace``.
 
-A vector run of a marker-free packed trace keeps its replay (the
-outcome codes of every access, fetch and branch) on the trace.  A
-later run of the same trace object on a machine that differs only in
-timing fields runs the timing fold alone.  These tests pin what that
-may and may not do: a memo-served result equals a fresh scalar run for
-every timing field, a structural change never hits, the scalar loop,
-telemetry and marker traces never touch the memo, an entry dies with
-its trace, and the memo never rides along when traces are pickled.
+A vector run of a packed trace whose every span took the kernels
+keeps its whole-trace replay (the outcome codes of every access, fetch
+and branch, markers' fetches included) on the trace.  A later run of
+the same trace object on a machine that differs only in timing fields
+runs the timing fold alone.  These tests pin what that may and may not
+do: a memo-served result equals a fresh scalar run for every timing
+field, with or without markers, a structural change never hits, the
+scalar loop, telemetry and runs with a short span never touch the
+memo, an entry dies with its trace, and the memo never rides along
+when traces are pickled.
 """
 
 from __future__ import annotations
@@ -56,6 +58,27 @@ def _strip_markers(trace: PackedTrace) -> PackedTrace:
 
 
 marker_free_traces = packed_traces().map(_strip_markers)
+
+
+def _head_marker(trace: PackedTrace) -> PackedTrace:
+    """``trace`` without markers but one HW_ON at record 0."""
+    ops, args, pcs = _strip_markers(trace).columns()
+    return PackedTrace(
+        "memo", [int(Opcode.HW_ON), *ops], [0, *args], [0x3FFFFC, *pcs]
+    )
+
+
+def _has_mid_marker(trace: PackedTrace) -> bool:
+    return bool((trace.marker_positions() > 0).any())
+
+
+#: Traces without markers, with one marker at record 0, and with
+#: markers after record 0.
+TRACE_SHAPES = {
+    "marker_free": marker_free_traces,
+    "head_marker": packed_traces().map(_head_marker),
+    "mid_markers": packed_traces().filter(_has_mid_marker),
+}
 
 #: Every timing field and a strategy for a new value of it.  Cache and
 #: TLB fields are ``"l1d.latency"`` style paths.
@@ -106,17 +129,23 @@ def _hits():
 
 class TestMemoServedResults:
     @pytest.mark.parametrize("field", TIMING_FIELDS)
-    @settings(max_examples=12, deadline=None)
-    @given(data=st.data(), trace=marker_free_traces)
-    def test_timing_change_equals_scalar(self, field, data, trace):
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_timing_change_equals_scalar(self, field, data):
         """Fill the memo on the base machine, then change one timing
         field: the run is served from the memo and equals a fresh run
-        of the scalar loop."""
+        of the scalar loop, with or without markers."""
+        shape = data.draw(st.sampled_from(sorted(TRACE_SHAPES)))
+        trace = data.draw(TRACE_SHAPES[shape])
         assume(len(trace) > 0)  # the memo skips empty traces
         mechanism = data.draw(st.sampled_from(MECHANISMS))
         classify = data.draw(st.booleans())
         machine = _with(_machine(), field, data.draw(TIMING_FIELDS[field]))
-        kwargs = dict(mechanism=mechanism, classify_misses=classify)
+        kwargs = dict(
+            mechanism=mechanism,
+            initially_on=data.draw(st.booleans()),
+            classify_misses=classify,
+        )
         simulate_trace(trace, _machine(), vectorize=True, **kwargs)
         assert _entries(trace) == 1
         with _hits() as hits:
@@ -181,6 +210,18 @@ class TestMemoServedResults:
         assert simulate_trace(trace, _machine()) == simulate_trace(
             trace, _machine(), vectorize=False
         )
+
+
+def _gated(trace: PackedTrace, at: int) -> PackedTrace:
+    """``trace`` with an HW_ON inserted before record ``at``."""
+    ops, args, pcs = trace.columns()
+    pc = pcs[at] if at < len(pcs) else pcs[-1] + 4
+    return PackedTrace(
+        "gated",
+        [*ops[:at], int(Opcode.HW_ON), *ops[at:]],
+        [*args[:at], 0, *args[at:]],
+        [*pcs[:at], pc, *pcs[at:]],
+    )
 
 
 def _long_trace() -> PackedTrace:
@@ -301,14 +342,29 @@ class TestMemoScope:
             hub = Telemetry(interval=interval)
             simulate_trace(_long_trace(), _machine(), telemetry=hub)
 
-    def test_marker_traces(self, untouchable):
-        ops, args, pcs = _long_trace().columns()
-        trace = PackedTrace(
-            "gated",
-            [*ops[:700], int(Opcode.HW_OFF), *ops[700:]],
-            [*args[:700], 0, *args[700:]],
-            [*pcs[:700], pcs[700], *pcs[700:]],
-        )
+    def test_marker_traces(self):
+        """A marker heads the span after it, so a markered run whose
+        spans all take the kernels keeps its replay and is served."""
+        slower = higher_mem_latency().scaled(TINY.machine_divisor)
+        for at in (0, 700):
+            for mechanism in MECHANISMS:
+                trace = _gated(_long_trace(), at)
+                kwargs = dict(mechanism=mechanism, initially_on=False)
+                simulate_trace(trace, _machine(), **kwargs)
+                assert _entries(trace) == 1, (at, mechanism)
+                with _hits() as hits:
+                    served = simulate_trace(trace, slower, **kwargs)
+                assert hits == [slower.name], (at, mechanism)
+                assert served == simulate_trace(
+                    trace, slower, vectorize=False, **kwargs
+                ), (at, mechanism)
+
+    @pytest.mark.parametrize("at", [1200, 1500])
+    def test_short_marker_spans(self, untouchable, at):
+        """The span a marker heads is under the floor: it takes the
+        scalar loop and leaves no replay, so the run does not reach the
+        memo."""
+        trace = _gated(_long_trace(), at)
         simulate_trace(trace, _machine(), mechanism="bypass")
 
     def test_object_traces(self, untouchable):
