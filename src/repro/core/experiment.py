@@ -15,7 +15,7 @@ from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.stats import clone_stats
 from repro.params import MachineParams
 from repro.core.versions import MECHANISMS, BenchmarkCodes, make_assist
-from repro.cpu.vector import MIN_VECTOR_SPAN, retime, shortest_span
+from repro.cpu.vector import retime
 
 __all__ = [
     "BenchmarkRun",
@@ -54,7 +54,6 @@ def simulate_trace(
     initially_on: bool = True,
     classify_misses: bool = False,
     telemetry=None,
-    vectorize: Optional[bool] = None,
 ) -> SimulationResult:
     """Time one trace on a fresh machine instance.
 
@@ -67,16 +66,13 @@ def simulate_trace(
     :class:`repro.telemetry.hub.Telemetry` hub; observation is passive,
     so the returned result is bit-identical either way.
 
-    ``vectorize`` forwards to :class:`CPUSimulator`: None runs the
-    numpy kernels (short spans, and markers under telemetry, step
-    through the scalar loop), False pins the scalar loop, True forces
-    the kernels onto short spans too (benchmarks and equivalence
-    tests).  All three settings produce bit-identical results and
-    telemetry.
-
-    A run whose every span the kernels take (a packed trace, with or
-    without HW_ON/HW_OFF markers, and no telemetry) keeps its
-    whole-trace replay in a memo on the trace: one entry per assist
+    Without telemetry the run replays the whole trace once and folds
+    the replay through the timing model; a telemetry run does so once
+    per segment, each ending at a marker
+    (:func:`repro.cpu.vector.run_trace`).  Each data access is replayed
+    under the gate state its record sees.  Every run of a non-empty
+    packed trace without telemetry, HW_ON/HW_OFF markers or not, keeps
+    its whole-trace replay in a memo on the trace: one entry per assist
     setting (``mechanism``, ``initially_on``, ``classify_misses``),
     holding the machine's structure (every field but the timing ones,
     see :func:`_structure`).
@@ -86,16 +82,14 @@ def simulate_trace(
     replay.  Nothing the replay records depends on timing, so its
     result is the one a full run gives.  A run on another structure
     replaces the entry.  The memo lives as long as the trace and is
-    never pickled.  Runs with a span under ``MIN_VECTOR_SPAN`` and
-    telemetry runs never touch it.
+    never pickled.  Telemetry runs and object traces never touch it.
 
     :func:`run_benchmark` also skips the versions that repeat another
     one (see :func:`distinct_runs`); this function simulates whatever
     it is given.
     """
     key = _memo_key(
-        trace, machine, mechanism, initially_on, classify_misses,
-        telemetry, vectorize,
+        trace, machine, mechanism, initially_on, classify_misses, telemetry
     )
     if key is not None:
         setting, shape = key
@@ -112,9 +106,7 @@ def simulate_trace(
     assist = make_assist(mechanism, machine) if mechanism else None
     hierarchy = MemoryHierarchy(machine, assist, classify_misses)
     gate = HardwareGate(assist, initially_on=initially_on)
-    simulator = CPUSimulator(
-        machine, hierarchy, gate, telemetry=telemetry, vectorize=vectorize
-    )
+    simulator = CPUSimulator(machine, hierarchy, gate, telemetry=telemetry)
     result = simulator.run(trace)
     if key is not None and simulator.replay is not None:
         memo[setting] = (shape, simulator.replay, _copy(result))
@@ -158,28 +150,21 @@ def _structure(machine: MachineParams) -> MachineParams:
 
 
 def _memo_key(
-    trace, machine, mechanism, initially_on, classify_misses, telemetry,
-    vectorize,
+    trace, machine, mechanism, initially_on, classify_misses, telemetry
 ):
     """``(assist setting, shape)`` of a run for the replay memo, or
-    None when the memo does not apply: the scalar loop, telemetry, an
-    object trace (packed afresh for every run), or a run in which the
-    scalar loop takes a span."""
+    None when the memo does not apply: telemetry, an object trace
+    (packed afresh for every run) or an empty trace."""
     if (
         telemetry is not None
-        or vectorize is False
         or not isinstance(trace, PackedTrace)
+        or len(trace) == 0
     ):
-        return None
-    records = len(trace)
-    if records == 0:
-        return None
-    if not vectorize and shortest_span(trace) < MIN_VECTOR_SPAN:
         return None
     # The length guards against a trace extended after its replay.
     return (
         (mechanism, initially_on, classify_misses),
-        (records, _structure(machine)),
+        (len(trace), _structure(machine)),
     )
 
 
@@ -266,11 +251,20 @@ def version_simulations(
     ]
     for mechanism in mechanisms:
         plan += [
-            (f"pure_hw/{mechanism}", (base, machine, mechanism, True)),
-            (f"combined/{mechanism}", (optimized, machine, mechanism, True)),
+            (
+                f"pure_hw/{mechanism}",
+                (base, machine, mechanism, True, classify_misses),
+            ),
+            (
+                f"combined/{mechanism}",
+                (optimized, machine, mechanism, True, classify_misses),
+            ),
             (
                 f"selective/{mechanism}",
-                (codes.selective_trace, machine, mechanism, False),
+                (
+                    codes.selective_trace, machine, mechanism, False,
+                    classify_misses,
+                ),
             ),
         ]
     return plan
@@ -293,11 +287,10 @@ def distinct_runs(codes: BenchmarkCodes, plan) -> list[int]:
     seen: dict[tuple, int] = {}
     firsts = []
     for i, (_, args) in enumerate(plan):
-        trace, _, mechanism, initially_on, *rest = args
+        trace, _, mechanism, initially_on, classify = args
         kind = kinds[next(j for j, t in enumerate(traces) if t is trace)]
         if mechanism and not initially_on and not kind.markers:
             mechanism, initially_on = None, True
-        classify = bool(rest and rest[0])
         identity = (kind.same_as, mechanism, initially_on, classify)
         firsts.append(seen.setdefault(identity, i))
     return firsts

@@ -58,7 +58,7 @@ __all__ = [
 ]
 
 #: Bump to invalidate every existing entry (keys embed this version).
-STORE_FORMAT = 1
+STORE_FORMAT = 2
 
 _MAGIC = b"repro-runstore v1\n"
 _SUFFIX = ".cell"

@@ -48,7 +48,7 @@ class BimodalPredictor:
         factorises over table indices (each 2-bit counter sees only its
         own sub-sequence), so the stream is stable-sorted by index and
         each counter's short history replayed in a tight loop against
-        the live table — scalar prediction can resume afterwards.
+        the live table, which it leaves as the per-branch calls would.
         """
         import numpy as np
 

@@ -1,16 +1,19 @@
-"""Block-batched numpy execution of packed traces.
+"""Replay-and-fold execution of packed traces.
 
-This is the fast path behind :meth:`CPUSimulator.run`.  It produces
-results bit-identical to the scalar loop ``_run_packed_range`` (see
-the bit-identity note in :mod:`repro.cpu.pipeline`)
-by splitting the trace at HW_ON/HW_OFF markers and running each span
-in two phases, whether the hardware assist is off or on:
+This is the one path behind :meth:`CPUSimulator.run` (see the
+bit-identity note in :mod:`repro.cpu.pipeline`; the per-record loop it
+is checked against lives in ``tests/cpu/oracle.py``).  A run is cut
+into segments by the pipeline's marker rule — the whole trace without
+telemetry, a segment ending at each marker under a hub — and each
+segment runs in two phases:
 
-1. **Replay phase** — all cache/TLB/branch-predictor outcomes for the
-   span are resolved in bulk by the kernels in
+1. **Replay phase** — all cache/TLB/branch-predictor outcomes of the
+   segment are resolved in bulk by the kernels in
    :mod:`repro.memory.bulk` (via ``MemoryHierarchy.bulk_classify``)
    and ``BimodalPredictor.bulk_predict_and_update``, operating on the
-   same live structures the scalar loop uses.
+   live structures.  Each data access carries the gate state in
+   effect at its record, read from the HW_ON/HW_OFF markers before it
+   and the gate's state at the segment's entry.
 
 2. **Timing phase** — the replay's outcome codes are mapped to
    per-access latency/refill columns
@@ -22,36 +25,33 @@ in two phases, whether the hardware assist is off or on:
    ``cycle(c) = base + (off + c) // issue_width`` over the cumulative
    slot count ``c`` (an ``np.cumsum`` of per-record slot costs); only
    the events themselves run in a tight Python loop, and each event
-   that zeroes the slot counter just rebases ``(base, off)``.
+   that zeroes the slot counter just rebases ``(base, off)``.  A marker
+   folds as the one-slot record it is.
 
-Assist spans are exact in bulk too (see
+After the fold the segment's markers toggle the gate in order.
+
+Assist runs are exact in bulk too (see
 ``MemoryHierarchy.bulk_classify``).  A victim-cache hit refills L1 (or
 L2) with the same fill as the next level would, so the per-set replays
-stand and the victim caches run as filters over the miss stream.  An
-assist that decides L1 placement itself (bypassing, stream buffers)
-never reads L2, the TLBs or time, so only its L1 half runs in record
-order, through the assist's ``filter_l1``; L2 and the timing stay in
-bulk.  Stream buffers take the default, which drives the live assist's
-hooks (``repro.memory.bulk.filter_assist``).  The bypass assist runs
-one fused loop with its MAT, SLDT, buffer and fill rule inline; its
-scalar hooks, which short spans still call, are that loop's oracle.
-Spans under ``MIN_VECTOR_SPAN`` execute through the scalar
-``_run_packed_range`` against the same shared ``_PackedState``, so the
-two execution styles alternate freely mid-trace.  A marker record
-heads the span after it: the gate toggles, and the kernels take the
-marker's issue slot and instruction fetch with that span (a fetch
-never consults the assist).  Under telemetry each marker is one scalar
-step instead, because the hub snapshots the hierarchy at the toggle.
+stand and the victim caches run as filters over the miss stream,
+probed by the misses whose gate is on.  An assist that decides L1
+placement itself (bypassing, stream buffers) never reads L2, the TLBs
+or time, so only its L1 half runs in record order, through the
+assist's ``filter_l1``, which calls the hooks for the accesses whose
+gate is on and does a plain L1 lookup and fill for the rest; L2 and
+the timing stay in bulk.  Stream buffers take the default, which
+drives the live assist's hooks (``repro.memory.bulk.filter_assist``).
+The bypass assist runs one fused loop with its MAT, SLDT, buffer and
+fill rule inline; its scalar hooks are that loop's oracle.
 
-The replay reads no timing field.  A run whose every record took the
-kernels leaves its spans' replays, joined in record order, on the
-simulator as ``CPUSimulator.replay``, and :func:`retime` folds it
-again over the whole trace, markers included, so
+The replay reads no timing field.  A run without telemetry leaves its
+whole-trace replay on the simulator as ``CPUSimulator.replay``, and
+:func:`retime` folds it again, markers included, so
 ``repro.core.experiment.simulate_trace`` can time it on a machine
-that differs only in timing.  One fold across span boundaries equals
-the per-span folds: the LSQ, MSHR and refill-bus state carries over
-as it is, and so does the port ring, whose multiset is all that is
-observable (see the port note below).
+that differs only in timing.  One fold across segment boundaries
+equals the per-segment folds a telemetry run makes: the LSQ, MSHR and
+refill-bus state carries over as it is, and so does the port ring,
+whose multiset is all that is observable (see the port note below).
 
 Interval-sampling telemetry takes this path too.  A sample reads the
 hierarchy's counters when the issue cycle crosses a threshold, so it
@@ -60,15 +60,16 @@ The replay phase returns every sampled counter's increments keyed by
 record.  The issue clock moves in closed form between the events that
 rebase it, so the timing phase only checks, at each rebase, whether
 the run of records it closes reached the next threshold, and keeps
-those runs.  :func:`_sample_span` rebuilds from both the rows the
-scalar loop would append, and ``next_sample`` rides in
-``_PackedState`` across scalar and vector spans.
+those runs.  :func:`_sample_segment` rebuilds from both the rows the
+per-record loop would append, and ``next_sample`` rides in
+``_PackedState`` across segments.
 
-Port arbitration note: the scalar loop picks the earliest-free port
-with a linear scan.  Here the ports are a sorted ring rotated FIFO —
-because access start times are non-decreasing within a span, the port
-freed longest ago is always an earliest-free port, so the resulting
-multiset of port-free times (the only observable) is identical.
+Port arbitration note: the timing model picks the earliest-free port,
+which the per-record loop finds with a linear scan.  Here the ports
+are a sorted ring rotated FIFO — because access start times are
+non-decreasing, the port freed longest ago is always an earliest-free
+port, so the resulting multiset of port-free times (the only
+observable) is identical.
 """
 
 from __future__ import annotations
@@ -85,33 +86,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cpu.pipeline import CPUSimulator, _PackedState
     from repro.isa.packed import PackedTrace
 
-__all__ = ["Replay", "retime", "run_vectorized", "shortest_span"]
+__all__ = ["Replay", "retime", "run_trace"]
 
 _LOAD = int(Opcode.LOAD)
 _STORE = int(Opcode.STORE)
 _ALU = int(Opcode.ALU)
 _BRANCH = int(Opcode.BRANCH)
 _HW_ON = int(Opcode.HW_ON)
-_HW_OFF = int(Opcode.HW_OFF)
-
-#: Spans shorter than this run through the scalar loop: the fixed cost
-#: of ~20 numpy kernel launches outweighs per-record interpretation on
-#: short spans, and selective traces with many gated regions are full
-#: of them.  At TINY scale 288 of the 321 non-empty spans of the 13
-#: selective traces are under 512 records; forcing the kernels onto
-#: them made the 13 victim simulations 11-34% slower (0.68 s against
-#: 0.51-0.61 s) and the 13 bypass ones 8-14% slower (median of 5
-#: alternating runs, two sessions, 2-vCPU Xeon).  At SMALL scale the
-#: floor neither helps nor hurts measurably.  ``vectorize=True``
-#: overrides the floor so tests can force the kernels onto arbitrarily
-#: small traces.
-MIN_VECTOR_SPAN = 512
-
 
 class Replay(NamedTuple):
-    """The replay phase's outcome for one span (or, joined, a whole
-    trace): all the timing phase reads of the memory system and the
-    branch predictor, and no latency
+    """The replay phase's outcome for one segment (without telemetry,
+    the whole trace): all the timing phase reads of the memory system
+    and the branch predictor, and no latency
     (:func:`repro.memory.hierarchy.outcome_timing` supplies those)."""
 
     #: Outcome code of each memory operation (int8).
@@ -123,7 +109,7 @@ class Replay(NamedTuple):
 
 
 class _Layout(NamedTuple):
-    """Where a span's records sit, read from its columns alone."""
+    """Where a segment's records sit, read from its columns alone."""
 
     slots: np.ndarray  # issue slots per record
     cum_slots: np.ndarray  # their running sum
@@ -134,59 +120,33 @@ class _Layout(NamedTuple):
     br_rel: np.ndarray  # branches
 
 
-def run_vectorized(sim: "CPUSimulator", trace: "PackedTrace"):
-    """Simulate a packed trace with the block-batched kernels.
+def run_trace(sim: "CPUSimulator", trace: "PackedTrace"):
+    """Simulate a packed trace: replay each segment, then fold it.
 
-    Dispatched from :meth:`CPUSimulator.run`; bit-identical to
-    ``_run_packed``.  Sets ``sim.replay`` to the whole trace's replay
-    when the kernels ran every record, else to None.  Without a
-    telemetry hub each marker heads the span after it; with one, each
-    marker is a single scalar step, so the hub's snapshot at the
-    toggle follows the marker's own fetch.
+    Dispatched from :meth:`CPUSimulator.run`.  Without a telemetry hub
+    the trace is one segment, and ``sim.replay`` is set to its replay;
+    with one, a segment ends at each marker, so the hub's snapshot at
+    the toggle follows the marker's own fetch and issue slot, and
+    ``sim.replay`` is None.
     """
     from repro.cpu.pipeline import _PackedState
 
     state = _PackedState(sim.machine, sim.telemetry)
     ops, args, pcs = trace.numpy_columns()
-    raw_cols = trace.columns()
-    n = ops.size
-    force = sim.vectorize is True
-    step = sim.telemetry is not None
-
-    replays = []
+    markers = trace.marker_positions()
+    ends = (markers + 1).tolist() if sim.telemetry is not None else []
+    replay = None
     lo = 0
-    for m in trace.marker_positions().tolist() + [n]:
-        if m > lo:
-            replays.append(
-                _run_span(sim, state, ops, args, pcs, raw_cols, lo, m, force)
+    for hi in ends + [ops.size]:
+        if hi > lo:
+            first, last = np.searchsorted(markers, (lo, hi))
+            replay = _simulate_segment(
+                sim, state, ops[lo:hi], args[lo:hi], pcs[lo:hi],
+                markers[first:last] - lo,
             )
-        lo = m
-        if step and m < n:
-            sim._run_packed_range(state, *raw_cols, m, m + 1)
-            replays.append(None)
-            lo = m + 1
-    sim.replay = _joined(replays)
+            lo = hi
+    sim.replay = replay if sim.telemetry is None else None
     return sim._finalize_packed(trace.name, state)
-
-
-def shortest_span(trace: "PackedTrace") -> int:
-    """Records in the shortest span :func:`run_vectorized` cuts
-    ``trace`` into without a telemetry hub (each marker heads the span
-    after it); 0 for an empty trace."""
-    bounds = np.concatenate(([0], trace.marker_positions(), [len(trace)]))
-    spans = np.diff(bounds)
-    spans = spans[spans > 0]
-    return int(spans.min()) if spans.size else 0
-
-
-def _joined(replays):
-    """One :class:`Replay` of the spans' replays in record order, or
-    None if any span ran on the scalar loop (or there were none)."""
-    if not replays or any(replay is None for replay in replays):
-        return None
-    if len(replays) == 1:
-        return replays[0]
-    return Replay(*(np.concatenate(parts) for parts in zip(*replays)))
 
 
 def retime(machine, trace: "PackedTrace", replay: Replay) -> int:
@@ -209,43 +169,41 @@ def retime(machine, trace: "PackedTrace", replay: Replay) -> int:
     return state.cycles()
 
 
-def _run_span(sim, state, ops, args, pcs, raw_cols, lo, hi, force):
-    """Run records ``lo..hi-1`` (no marker but at ``lo``) the fastest
-    legal way; return the span's :class:`Replay`, or None if the scalar
-    loop ran it."""
-    if hi - lo < MIN_VECTOR_SPAN and not force:
-        sim._run_packed_range(state, *raw_cols, lo, hi)
-        return None
-    head = raw_cols[0][lo]
-    if head == _HW_ON:
-        sim.gate.activate()
-    elif head == _HW_OFF:
-        sim.gate.deactivate()
-    return _simulate_span(sim, state, ops[lo:hi], args[lo:hi], pcs[lo:hi])
-
-
-def _simulate_span(sim, state: "_PackedState", ops, args, pcs) -> Replay:
-    """Two-phase (replay, then timing) execution of one span; returns
-    the replay.
+def _simulate_segment(
+    sim, state: "_PackedState", ops, args, pcs, markers
+) -> Replay:
+    """Two-phase (replay, then timing) execution of one segment, whose
+    markers sit at ``markers``; then the markers toggle the gate.
+    Returns the replay.
 
     With interval sampling on, the replay also returns each sampled
     counter's increments by record, the timing phase keeps the runs of
     records in which its issue clock crosses a sampling threshold, and
-    :func:`_sample_span` turns both into the span's sample rows.
+    :func:`_sample_segment` turns both into the segment's sample rows.
     """
     sampling = state.next_sample is not None
     layout = _layout(sim.machine, sim.model_ifetch, state, ops, args, pcs)
     entry_counters = sim.hierarchy.sample_counters() if sampling else None
-    replay, counters = _replay(sim, layout, args, pcs, sampling)
+    replay, counters = _replay(sim, layout, ops, args, pcs, markers, sampling)
+    telemetry = sim.telemetry
     _fold(
-        sim.machine, sim.telemetry, state, layout, replay, entry_counters,
+        sim.machine, telemetry, state, layout, replay, entry_counters,
         counters,
     )
+    for op in ops[markers].tolist():
+        if telemetry is not None:
+            telemetry.now = state.issue_cycle
+            telemetry.instructions = state.instructions
+        if op == _HW_ON:
+            sim.gate.activate()
+        else:
+            sim.gate.deactivate()
     return replay
 
 
 def _layout(machine, model_ifetch, state, ops, args, pcs) -> _Layout:
-    """The span's issue-slot costs and the records of each event kind."""
+    """The segment's issue-slot costs and the records of each event
+    kind."""
     is_alu = ops == _ALU
     slots = np.where(is_alu, np.maximum(args, 1), 1)
     # Instruction fetch: records whose I-cache line changes.
@@ -270,13 +228,22 @@ def _layout(machine, model_ifetch, state, ops, args, pcs) -> _Layout:
     )
 
 
-def _replay(sim, layout: _Layout, args, pcs, sampling: bool):
-    """Replay phase: the span's memory system and branch predictor."""
+def _replay(sim, layout: _Layout, ops, args, pcs, markers, sampling: bool):
+    """Replay phase: the segment's memory system and branch predictor.
+
+    With an assist, each data access is replayed under the gate state
+    in effect at its record: the gate's state at the segment's entry,
+    then after each of its ``markers`` the one that marker sets.
+    """
     mem_rel, fetch_rel = layout.mem_rel, layout.fetch_rel
     br_rel = layout.br_rel
+    on = None
+    if sim.hierarchy.assist is not None:
+        states = np.append(sim.gate.enabled, ops[markers] == _HW_ON)
+        on = states[np.searchsorted(markers, mem_rel)]
     data, fetch, counters = sim.hierarchy.bulk_classify(
         args[mem_rel], layout.writes, mem_rel, pcs[fetch_rel], fetch_rel,
-        sample=sampling,
+        on=on, sample=sampling,
     )
     correct = sim.predictor.bulk_predict_and_update(
         pcs[br_rel], args[br_rel] != 0
@@ -288,7 +255,7 @@ def _fold(
     machine, telemetry, state: "_PackedState", layout: _Layout,
     replay: Replay, entry_counters, counters,
 ) -> None:
-    """Timing phase: fold one span's replay into ``state``.
+    """Timing phase: fold one segment's replay into ``state``.
 
     Reads ``machine``'s timing fields and the replay's outcome codes,
     never a cache, TLB or predictor.
@@ -308,7 +275,7 @@ def _fold(
     stall_vals = stall[stalled]
 
     # ---- merge timing events in (record, phase) order -------------------
-    # Within one record the scalar loop handles the front-end stall
+    # Within one record the per-record loop handles the front-end stall
     # first (its clock reads the *pre*-slot cumulative count), then the
     # record's own action (memory op or branch, post-slot).  A record
     # is never both a memory op and a branch, so the phase order falls
@@ -384,8 +351,8 @@ def _fold(
     # the stalled record itself is checked for a sample before it
     # stalls).  A closed segment's last record sits at ``key - 1``, so
     # its clock peaks at ``clk + key - 1``; a segment whose peak reaches
-    # the next threshold ``watch`` is where the scalar loop samples
-    # (see _sample_span), and only such segments are kept.  A stall
+    # the next threshold ``watch`` is where the per-record loop samples
+    # (see _sample_segment), and only such segments are kept.  A stall
     # and a memory op or mispredict in one single-slot record leave an
     # empty segment between them (``key == seg_key``), which is skipped.
     crossings = []
@@ -450,18 +417,18 @@ def _fold(
             clk = ((clk + cum) // width + lat) * width - cum
 
     if sampling:
-        # The last segment ends at the span's last record.
+        # The last segment ends at the last record.
         last = int(cum_slots[-1] - slots[-1])
         if last >= seg_key and clk + last >= watch:
             watch = crossed(seg_key, clk, watch, clk + last)
         if crossings:
-            _sample_span(
+            _sample_segment(
                 telemetry, width, state, cum_slots, crossings, period,
                 entry_counters, counters,
             )
         state.next_sample = watch // width
 
-    # ---- write the span's end state back --------------------------------
+    # ---- write the end state back ---------------------------------------
     end = int(cum_slots[-1])
     state.issue_cycle = (clk + end) // width
     state.slot = (clk + end) % width
@@ -479,14 +446,15 @@ def _fold(
         state.current_ifetch_line = int(layout.lines[-1])
 
 
-def _sample_span(
+def _sample_segment(
     telemetry, width, state, cum_slots, crossings, period, entry_counters,
     counters,
 ):
-    """Append the interval samples the scalar loop takes over one span.
+    """Append the interval samples the per-record loop takes over one
+    segment.
 
-    The scalar loop checks before each record whether its issue cycle
-    has reached the next threshold, takes at most one sample there and
+    That loop checks before each record whether its issue cycle has
+    reached the next threshold, takes at most one sample there and
     moves the threshold to the next multiple of the interval.  Each
     ``(key, clk, watch, peak)`` of ``crossings`` is a run of records
     sharing ``clk`` whose scaled clock ``clk + c`` (``c`` the slot count
@@ -495,7 +463,7 @@ def _sample_span(
     each later multiple of ``period`` up to ``peak``, and a threshold's
     sample is the first record with ``c >= max(key, threshold - clk)``.
     A record that reaches several thresholds at once is sampled once.
-    Counters are their span-entry values plus the increments of the
+    Counters are their segment-entry values plus the increments of the
     earlier records.
     """
     key, clk, watch, peak = np.array(crossings, dtype=np.int64).T

@@ -126,7 +126,8 @@ class CacheBypassAssist(AssistInterface):
         return CacheBlock(displaced_dirty // self._line_size, dirty=True)
 
     def filter_l1(self, cache, addrs, writes, track: bool = False):
-        """The record-order L1 filter of a bypass span, hooks inlined.
+        """The record-order L1 filter of a gate-on bypass range, hooks
+        inlined.
 
         Does what :func:`repro.memory.bulk.filter_assist` does with this
         assist's hooks, and returns the same tuple, but in one loop
@@ -138,7 +139,7 @@ class CacheBypassAssist(AssistInterface):
         :meth:`fill_decision` read from the tables just updated, then
         the buffer insert (``accept_bypassed``) or the L1 fill.  The
         counters it keeps in locals are written back at the end.  The
-        hooks stay the scalar path and this loop's oracle.
+        hooks stay this loop's oracle.
         """
         mat, sldt, buffer = self.mat, self.sldt, self.buffer
         params = self.machine.bypass

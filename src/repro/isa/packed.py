@@ -102,8 +102,8 @@ class PackedTrace:
         """Zero-copy numpy ``int64`` views of the (op, arg, pc) columns.
 
         The views alias the live ``array('q')`` buffers — treat them as
-        read-only.  Requires numpy (the vectorized simulator path is
-        the only caller).
+        read-only.  Requires numpy (the simulator's replay-and-fold
+        kernels are the only caller).
         """
         import numpy as np
 
@@ -116,9 +116,8 @@ class PackedTrace:
     def marker_positions(self):
         """Record indices of HW_ON/HW_OFF markers as a numpy array.
 
-        These are the segment boundaries of the vectorized simulator
-        path: between consecutive markers the hardware-gate state is
-        constant, so a whole span can be replayed in bulk.  Requires
+        The simulator reads each data access's gate state from them,
+        and under telemetry ends a segment at each one.  Requires
         numpy.
         """
         ops, _, _ = self.numpy_columns()

@@ -12,13 +12,12 @@ from repro.memory.block import CacheBlock
 from repro.memory.cache import SetAssociativeCache
 from repro.memory.column import ColumnAssociativeCache
 from repro.memory.dram import MainMemory
-from repro.memory.hierarchy import AccessResult, MemoryHierarchy
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.stats import CacheStats, HierarchySnapshot
 from repro.memory.tlb import TLB
 from repro.memory.victim import VictimCache
 
 __all__ = [
-    "AccessResult",
     "AssistInterface",
     "CacheBlock",
     "CacheStats",

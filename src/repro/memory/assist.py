@@ -7,9 +7,11 @@ methods below at the corresponding points; the concrete mechanisms live
 in :mod:`repro.hwopt` and implement this interface.
 
 The ``enabled`` flag is the paper's ON/OFF state: the compiler-inserted
-activate/deactivate instructions toggle it at run time, and while it is
-False the hierarchy "simply ignores the mechanism" (Section 4.1) — no
-probes, no updates, no insertions.
+activate/deactivate instructions toggle it at run time
+(:class:`repro.hwopt.gate.HardwareGate`).  The simulator replays each
+data access under the gate state in effect at its record, and for an
+access made while it is off the hierarchy "simply ignores the
+mechanism" (Section 4.1) — no probes, no updates, no insertions.
 """
 
 from __future__ import annotations
@@ -122,7 +124,7 @@ class AssistInterface(abc.ABC):
         """The ``(L1, L2)`` victim caches, if that is all the assist is.
 
         Such an assist never changes which lines L1 or L2 hold, or their
-        LRU order, only where a miss is served from, so its spans are
+        LRU order, only where a miss is served from, so its runs are
         replayed per set with the victim caches as miss-stream filters
         (see :meth:`repro.memory.hierarchy.MemoryHierarchy.bulk_classify`).
         None (the default) replays the L1 side in record order with the
@@ -133,15 +135,15 @@ class AssistInterface(abc.ABC):
         return None
 
     def filter_l1(self, cache, addrs, writes, track: bool = False):
-        """Run one span's L1D accesses in record order with this assist.
+        """Run L1D accesses made with the gate on, in record order.
 
         For an assist without victim caches:
         :meth:`repro.memory.hierarchy.MemoryHierarchy.bulk_classify`
-        calls this on ``cache`` (the live L1D) and replays L2 in bulk
-        from what it returns.  The default is
-        :func:`repro.memory.bulk.filter_assist`, which drives this
-        assist's hooks; an override must return the same tuple and
-        leave the same state behind.
+        calls this on ``cache`` (the live L1D) for each range of
+        accesses with the gate on, and replays L2 in bulk from what it
+        returns.  The default is :func:`repro.memory.bulk.filter_assist`,
+        which drives this assist's hooks; an override must return the
+        same tuple and leave the same state behind.
         """
         from repro.memory.bulk import filter_assist
 

@@ -1,10 +1,11 @@
 """Block-batched replay kernels for caches and TLBs.
 
-These are the memory-side half of the vectorized simulator path
-(:mod:`repro.cpu.vector`).  Each kernel replays a whole span's access
-stream against the *live* structures the scalar loop uses — the same
-``OrderedDict`` sets, statistics counters and shadow state — so scalar
-fallback segments can resume mid-trace with nothing lost.
+These are the memory-side half of the simulator's replay phase
+(:mod:`repro.cpu.vector`).  Each kernel replays a whole access stream
+— without telemetry, the whole trace's — against the *live*
+structures — the same ``OrderedDict`` sets, statistics counters and
+shadow state — and leaves them as the per-access walk of the
+simulator's oracle (``tests/cpu/oracle.py``) would.
 
 The key decompositions, each exact rather than approximate:
 
@@ -42,10 +43,13 @@ The key decompositions, each exact rather than approximate:
 
 * **Victim caches as miss-stream filters.**  A victim hit refills the
   primary cache with the same fill a next-level fill would do, so the
-  per-set replays above are exact with victim caches attached; each
-  replay reports every miss's evicted line, and
+  per-set replays above are exact with victim caches attached, whatever
+  the gate does; each replay reports every miss's evicted line, and
   :func:`filter_victims` runs the live victim cache over those misses
-  in order, settling victim hits, dirty bits and writebacks.
+  in order, settling victim hits, dirty bits and writebacks.  Its
+  ``probe`` flags are the gate mask: a miss made with the gate off
+  neither probes nor fills the victim cache, and a dirty line it
+  evicts goes straight to the next level.
 
 * **A record-order L1 filter for placement-deciding assists.**
   Bypassing decides on each L1 miss whether the line is installed, so
@@ -56,7 +60,10 @@ The key decompositions, each exact rather than approximate:
   set from the misses and writebacks it emits.  The default,
   :func:`filter_assist`, calls the live assist's own hooks (stream
   buffers take it); the bypass assist runs a fused loop with its
-  tables inline (``repro.hwopt.controller.CacheBypassAssist``).
+  tables inline (``repro.hwopt.controller.CacheBypassAssist``).  The
+  filter runs over each range of accesses with the gate on; a range
+  with the gate off is a plain L1D replay (:func:`replay_cache`), and
+  everything else stays one replay of the whole trace.
 
 Latency never feeds back into any of these structures, which is what
 makes the phase split legal — see the bit-identity note in
@@ -67,16 +74,13 @@ and whether its TLB missed), which
 :func:`repro.memory.hierarchy.outcome_timing` alone turns into cycles.
 So one replay serves every machine that differs only in timing fields.
 ``repro.core.experiment.simulate_trace`` keeps the whole-trace replay
-of each run whose every span took these kernels (a packed trace, no
-telemetry; a marker heads the span after it, so its fetch rides in
-that span's replay) on the trace, one per assist setting, and reruns
-only the timing fold when the same trace object meets such a machine
-next: Table 3's "Higher Mem. Lat." after the base machine.  A run on
-another cache structure replaces the setting's replay.  It does not
-cover:
+of each run of a packed trace without telemetry (markers' fetches
+ride in it, and the gate mask is in its outcome codes) on the trace,
+one per assist setting, and reruns only the timing fold when the same
+trace object meets such a machine next: Table 3's "Higher Mem. Lat."
+after the base machine.  A run on another cache structure replaces
+the setting's replay.  It does not cover:
 
-* runs with a span under ``repro.cpu.vector.MIN_VECTOR_SPAN``, which
-  the scalar loop takes (tpcc's selective trace at TINY);
 * reusing the L1 side for machines that change only L2;
 * cells run in forked workers (the service, and ``jobs > 1``), where
   each cell's process sees each trace once.
@@ -121,7 +125,7 @@ _FAST_PATH_MIN = 64
 _FAST_PROBE = 96
 
 #: Accesses converted to Python ints at a time by the record-order L1
-#: filters, so a long span never holds whole-span lists.
+#: filters, so a long run never holds whole-run lists.
 CHUNK = 4096
 
 
@@ -148,7 +152,7 @@ def _set_order(sets: np.ndarray, num_sets: int):
 
 
 def counter_steps(pos: np.ndarray, weights=None):
-    """One sampled counter's increments over a span, as a step function.
+    """One sampled counter's increments over a replay, as a step function.
 
     ``pos`` holds the record position of each increment and ``weights``
     its size (None: one each).  Returns ``(pos, cum)`` sorted by
@@ -219,7 +223,7 @@ def replay_tlb(tlb, pages: np.ndarray) -> np.ndarray:
 
     Exactly equivalent to calling ``tlb.lookup`` per access; returns
     the per-access miss flags (in input order) and leaves the TLB's
-    sets, access and miss counters as the scalar loop would.
+    sets, access and miss counters as the per-access lookups would.
     """
     n = pages.size
     tlb.accesses += n
@@ -367,9 +371,10 @@ def replay_cache(cache, lines: np.ndarray, writes, need_hits: bool = True):
       of the demand misses (each needs a next-level access and fill);
     * ``evicted``/``evicted_dirty`` — aligned with the misses: the line
       each miss's fill evicted (-1 if it took a free way), and whether
-      that line was written while resident (dirty at span entry, or
-      written since its fill).  Without an assist the dirty ones are
-      exactly the writebacks; a victim cache captures all of them.
+      that line was written while resident (dirty at the replay's
+      entry, or written since its fill).  Without an assist the dirty
+      ones are exactly the writebacks; a victim cache captures the
+      lines of the misses that probe it.
 
     Event columns are NOT chronologically ordered across sets; callers
     order the merged next-level stream by the original record
@@ -896,7 +901,7 @@ def commit_filter(
 ):
     """End a record-order L1 filter: write back L1, return its columns.
 
-    Replaces the live sets with the working ``lrus``, adds the span's
+    Replaces the live sets with the working ``lrus``, adds the run's
     ``n`` accesses, its misses (``columns[0]``) and evictions to the
     statistics, and converts ``columns`` (``array('q')`` each) to the
     tuple :func:`filter_assist` returns.
@@ -923,7 +928,7 @@ def commit_filter(
 def filter_assist(
     assist, cache, addrs: np.ndarray, writes: np.ndarray, track: bool = False
 ):
-    """Run the L1 half of ``data_access`` in record order with a live assist.
+    """Run the L1 half of the access walk in record order with a live assist.
 
     The default :meth:`repro.memory.assist.AssistInterface.filter_l1`,
     for an assist without victim caches whose L1 eviction and L2-side
@@ -933,8 +938,8 @@ def filter_assist(
     assist never reads L2, the TLBs or simulated time, and L2 never
     feeds back into L1 or the assist, so only the L1 lookup, the
     assist's hooks and the L1 fill need the access order; the caller
-    replays L2 in bulk afterwards.  Per access, as the scalar
-    ``data_access`` does: look up L1 and ``note_access``; on a miss,
+    replays L2 in bulk afterwards.  Per access, as the per-access walk
+    does with the gate on: look up L1 and ``note_access``; on a miss,
     ``lookup_alternate`` (a hit is served by the assist, installing
     any promoted block), else ``fill_decision`` against the line a fill
     would evict, then the fill or ``accept_bypassed``.
@@ -1033,7 +1038,7 @@ def replay_shadow(cache, lines: np.ndarray, hit: np.ndarray) -> None:
     The fully-associative shadow and the seen-lines set are global to
     the cache (not per-set), so classification replays in original
     access order, after the per-set kernels have resolved hits and
-    misses.  Mutates the same shadow state the scalar path uses.
+    misses.  Mutates the live shadow state.
     """
     if not cache._classify:
         return

@@ -164,14 +164,14 @@ class SetAssociativeCache:
         return dirty
 
     # ------------------------------------------------------------------
-    # bulk replay (vectorized simulator path)
+    # bulk replay (the simulator's replay phase)
 
     def bulk_replay(self, lines, writes=None, need_hits=True):
         """Replay a whole line-number access stream at once.
 
         Numpy-kernel equivalent of per-access ``lookup`` + miss
-        ``fill`` against the live sets, so scalar code can resume on
-        the same state afterwards.  See
+        ``fill`` against the live sets, which it leaves as those calls
+        would.  See
         :func:`repro.memory.bulk.replay_cache` for the contract.
         """
         from repro.memory import bulk

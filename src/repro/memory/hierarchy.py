@@ -4,17 +4,17 @@ Implements the Table 1 machine: split L1 (2-cycle), unified L2
 (10-cycle), 100-cycle DRAM behind an 8-byte bus, and 4-way TLBs.  An
 optional :class:`repro.memory.assist.AssistInterface` (cache bypassing
 or victim caching, from :mod:`repro.hwopt`) is consulted on L1 misses,
-fills and evictions — but only while its ``enabled`` flag is on, which
-is how the compiler-inserted activate/deactivate instructions take
-effect.
+fills and evictions — but only by the accesses made while the gate is
+on: :meth:`MemoryHierarchy.bulk_classify` takes each access's gate
+state as a mask, which is how the compiler-inserted activate/deactivate
+instructions take effect.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from repro.memory.assist import ASSIST_HIT_CYCLES, AssistInterface
-from repro.memory.block import CacheBlock
 from repro.memory.cache import SetAssociativeCache
 from repro.memory.dram import MainMemory
 from repro.memory.stats import HierarchySnapshot, clone_stats
@@ -22,7 +22,6 @@ from repro.memory.tlb import TLB
 from repro.params import MachineParams
 
 __all__ = [
-    "AccessResult",
     "MemoryHierarchy",
     "L1_HIT",
     "ASSIST_HIT",
@@ -48,10 +47,11 @@ def outcome_timing(machine: MachineParams):
     code: a data access's latency in cycles and refill class (0 = no
     refill bus use, 1 = an L2-side refill, 2 = a DRAM refill, which
     occupies an MSHR), and a fetch's front-end stall beyond an L1I hit.
-    They add up the same terms as :meth:`MemoryHierarchy.data_access`
-    and :meth:`MemoryHierarchy.inst_fetch`, and this is the only place
-    the bulk path reads a latency: the replay that produces the codes
-    never does.
+    Each adds up the walk its code names: the L1 latency, then an
+    assist hit's extra cycle, an L2 hit, or an L2 miss served by the L2
+    victim cache or by DRAM, plus the TLB's miss penalty when its bit
+    is set.  This is the only place the simulator reads a latency: the
+    replay that produces the codes never does.
     """
     import numpy as np
 
@@ -74,14 +74,6 @@ def outcome_timing(machine: MachineParams):
     return latency, np.concatenate((refill, refill)), stall
 
 
-class AccessResult(NamedTuple):
-    """Outcome of a single data access."""
-
-    latency: int
-    l1_hit: bool
-    served_by: str  # "l1" | "assist" | "l2" | "l2assist" | "mem"
-
-
 class MemoryHierarchy:
     """L1D/L1I + unified L2 + DRAM, with optional hardware assist."""
 
@@ -99,105 +91,58 @@ class MemoryHierarchy:
         self.dtlb = TLB(machine.dtlb)
         self.itlb = TLB(machine.itlb)
         self.memory = MainMemory(machine)
-        # Provenance of the most recent L2-path access.  Must be an
-        # instance attribute: hierarchies run side by side in one
-        # process (parallel sweeps, tests), and a class attribute would
-        # leak the last source across instances.
-        self._last_source = "mem"
-        # Latency constants hoisted out of the per-access hot path.
-        self._dtlb_penalty = machine.dtlb.miss_penalty
-        self._itlb_penalty = machine.itlb.miss_penalty
-        self._l1d_latency = machine.l1d.latency
-        self._l1i_latency = machine.l1i.latency
 
     # ------------------------------------------------------------------
-    # public access paths
-
-    def data_access(self, addr: int, is_write: bool = False) -> AccessResult:
-        """Perform one load/store; return its latency and provenance."""
-        assist = self.assist if (self.assist and self.assist.enabled) else None
-        latency = self._l1d_latency
-        if not self.dtlb.lookup(addr):
-            latency += self._dtlb_penalty
-        if self.l1d.lookup(addr, is_write):
-            if assist:
-                assist.note_access(addr, is_write, l1_hit=True)
-            return AccessResult(latency, True, "l1")
-        if assist:
-            assist.note_access(addr, is_write, l1_hit=False)
-            line = self.l1d.line_of(addr)
-            served = assist.lookup_alternate(addr, line, is_write)
-            if served is not None:
-                extra_latency, promoted = served
-                latency += extra_latency
-                if promoted is not None:
-                    self._install_l1(addr, promoted.dirty or is_write, assist)
-                return AccessResult(latency, False, "assist")
-        latency += self._fetch_into_l1(addr, is_write, assist)
-        return AccessResult(latency, False, self._last_source)
-
-    def inst_fetch(self, addr: int) -> int:
-        """Fetch an instruction; return the latency in cycles.
-
-        The instruction path has no hardware assist in the paper (the
-        mechanisms target the data cache).
-        """
-        latency = self._l1i_latency
-        if not self.itlb.lookup(addr):
-            latency += self._itlb_penalty
-        if self.l1i.lookup(addr):
-            return latency
-        latency += self._access_l2(addr, assist=None)
-        evicted = self.l1i.fill(addr)
-        if evicted is not None and evicted.dirty:
-            self._writeback_to_l2(evicted, self.machine.l1i.block_size)
-        return latency
-
-    # ------------------------------------------------------------------
-    # bulk classification (vectorized simulator path)
+    # the replay
 
     def bulk_classify(
         self, addrs, writes, positions, fetch_pcs, fetch_positions,
-        sample=False,
+        on=None, sample=False,
     ):
-        """Resolve a span of accesses and fetches in bulk.
+        """Resolve a run of accesses and fetches in bulk.
 
-        Numpy-kernel equivalent of calling :meth:`data_access` for each
-        ``(addrs[i], writes[i])`` and :meth:`inst_fetch` for each
-        ``fetch_pcs[j]``, interleaved in trace order.  ``positions`` and
-        ``fetch_positions`` carry each access's trace record index,
-        which is what serialises the two streams' shared L2 traffic:
-        within one record the scalar loop performs the instruction
-        fetch, then the data demand access, then any L1D dirty
+        Replays the data accesses ``(addrs[i], writes[i])`` and the
+        instruction fetches ``fetch_pcs[j]``, interleaved in trace
+        order.  ``positions`` and ``fetch_positions`` carry each one's
+        trace record index, which is what serialises the two streams'
+        shared L2 traffic: within one record the instruction fetch
+        comes first, then the data demand access, then any L1D dirty
         writeback, so L2 events are replayed sorted by ``(record,
         phase)`` with exactly that phase order.
 
-        The hardware assist's state (on or off) must hold for the whole
-        span.  With no assist the L1D stream is replayed per set.
-        Victim caches (``victim_caches`` is not None) replay exactly
-        because a victim hit promotes the line with the same ``fill`` a
-        next-level fill would do: L1D (and, one level down, L2) tags and
-        LRU order are the same as with no assist, so the per-set
-        replays stay as they are, and
+        ``on`` is the gate state of each data access (bool), or None
+        when no access sees the assist (no assist, or the gate is off
+        throughout).  An access with the gate on consults the assist:
+        its L1 miss probes the assist's storage, its fill may be
+        placed by it, and what it evicts is offered to it.  One with
+        the gate off sees the plain hierarchy.  Instruction fetch
+        never consults the assist.  With no access on, the L1D stream
+        is replayed per set.  Victim caches (``victim_caches`` is not
+        None) replay exactly because a victim hit promotes the line
+        with the same ``fill`` a next-level fill would do: L1D (and,
+        one level down, L2) tags and LRU order are the same as with no
+        assist, so the per-set replays stay as they are, and
         :func:`repro.memory.bulk.filter_victims` runs each victim cache
-        as a sequential filter over that level's misses and evictions.
-        The L1 filter decides which misses reach L2 and which displaced
-        dirty lines are written back to it; the L2 filter runs after
-        the L2 replay.  Any other assist (bypassing, stream buffers)
-        decides L1 placement itself, so its ``filter_l1`` runs the L1D
-        half of :meth:`data_access` in record order against the live
-        assist: stream buffers through their hooks
-        (:func:`repro.memory.bulk.filter_assist`), the bypass assist
+        as a sequential filter over that level's misses and evictions,
+        probed by the misses whose gate is on.  The L1 filter decides
+        which misses reach L2 and which displaced dirty lines are
+        written back to it; the L2 filter runs after the L2 replay.
+        Any other assist (bypassing, stream buffers) decides L1
+        placement itself, so over each range of accesses with the gate
+        on its ``filter_l1`` runs the L1D lookups and fills in record
+        order against the live assist (stream buffers through
+        :func:`repro.memory.bulk.filter_assist`, the bypass assist
         through a fused loop whose oracle is that same hook-driven
-        filter and the scalar hooks.  Such an assist must leave
-        evictions and L2 to the hierarchy
-        (its ``on_l1_evict``/``on_l2_evict`` return the block and its
+        filter), and each range with the gate off is a plain per-set
+        L1D replay; L2, the TLBs and L1I stay one replay.  Such an
+        assist must leave evictions and L2 to the hierarchy (its
+        ``on_l1_evict``/``on_l2_evict`` return the block and its
         ``lookup_l2_alternate`` returns None), which is what lets L2 be
         replayed in bulk from the demand misses and writebacks it
-        emits.  All live structures — caches, assists, TLBs, shadow
-        classifiers, DRAM counters, ``_last_source`` — end in the same
-        state the scalar calls would leave, so scalar code can resume
-        mid-trace afterwards.
+        emits.  All live structures — caches, assists,
+        TLBs, shadow classifiers, DRAM counters — end in the state the
+        per-access walk (``tests/cpu/oracle.py``) leaves, so a later
+        call continues from them.
 
         Returns ``(data, fetch, counters)``:
 
@@ -210,7 +155,7 @@ class MemoryHierarchy:
           the ITLB;
         * ``counters`` — None unless ``sample``: then, per field of
           :meth:`sample_counters` and in its order, the field's
-          increments over the span keyed by record position
+          increments keyed by record position
           (:func:`repro.memory.bulk.counter_steps`), so interval samples
           can be read at any record boundary.  The two occupancies
           count fills into a free way (the L1D replays report evicted
@@ -225,7 +170,7 @@ class MemoryHierarchy:
         from repro.memory.bulk import counter_steps, filter_victims
 
         l1d, l1i, l2 = self.l1d, self.l1i, self.l2
-        assist = self.assist if self.assist and self.assist.enabled else None
+        assist = self.assist if on is not None and on.any() else None
         victims = assist.victim_caches if assist else None
 
         dtlb_miss = self.dtlb.bulk_lookup(addrs >> self.dtlb._page_shift)
@@ -248,19 +193,15 @@ class MemoryHierarchy:
         occ_pos = bypass_pos = empty
         occ_delta = None
         if assist is not None and victims is None:
-            # The assist decides L1 placement itself: its hooks run
-            # with the L1D lookups and fills in record order.
             (
-                d_miss, dm_pos, served_pos, wb_pos, wb_lines, tracked,
-            ) = assist.filter_l1(l1d, addrs, writes, track=sample)
+                d_miss, dm_pos, served_pos, wb_pos, wb_lines, l1_free,
+                bypass_pos, occ_delta,
+            ) = self._placed_l1(assist, d_lines, addrs, writes, on, sample)
             dm_lines = d_lines[dm_pos]
             if l1d._classify:
                 d_hit = np.ones(addrs.size, dtype=bool)
                 d_hit[d_miss] = False
-            if sample:
-                l1_free, bypass_pos, occupancy = tracked
-                l1_miss = occ_pos = d_miss
-                occ_delta = np.diff(occupancy)
+            l1_miss = occ_pos = d_miss
         else:
             d_hit, dm_pos, dm_lines, evicted, evicted_dirty = l1d.bulk_replay(
                 d_lines, writes, need_hits=l1d._classify
@@ -275,16 +216,22 @@ class MemoryHierarchy:
                 wb_lines = evicted[evicted_dirty]
             else:
                 # The L1 victim cache filters the misses in record
-                # order: hits are served from it, the rest go to L2,
-                # and only the dirty lines it displaces are written
+                # order: the ones with the gate on probe it (hits are
+                # served from it) and send it the line they evict, the
+                # rest go to L2, and the dirty lines it displaces, or
+                # that a miss with the gate off evicts, are written
                 # back.
                 chrono = np.argsort(dm_pos)
                 dm_pos, dm_lines = dm_pos[chrono], dm_lines[chrono]
-                vc_hit, spill_idx, wb_lines, _, vc_grow = filter_victims(
-                    victims[0], l1d, dm_lines, evicted[chrono],
-                    evicted_dirty[chrono],
+                evicted = evicted[chrono]
+                vc_hit, spill_idx, spill_lines, unprobed, vc_grow = (
+                    filter_victims(
+                        victims[0], l1d, dm_lines, evicted,
+                        evicted_dirty[chrono], probe=on[dm_pos],
+                    )
                 )
-                wb_pos = dm_pos[spill_idx]
+                wb_pos = np.concatenate((dm_pos[spill_idx], dm_pos[unprobed]))
+                wb_lines = np.concatenate((spill_lines, evicted[unprobed]))
                 served_pos = dm_pos[vc_hit]
                 if sample:
                     occ_pos = dm_pos
@@ -333,10 +280,14 @@ class MemoryHierarchy:
         if victims is not None:
             chrono = np.argsort(l2_miss)
             l2_miss = l2_miss[chrono]
+            # Only data demand misses made with the gate on probe the
+            # L2 victim cache: fetches and writebacks never do.
+            ev_on = np.zeros(ev_seq.size, dtype=bool)
+            ev_on[n_im : n_im + n_dm] = on[dm_pos]
             v2_hit, spilled, _, unprobed, v2_grow = filter_victims(
                 victims[1], l2, ev_lines_sorted[l2_miss],
                 l2_evicted[chrono], l2_evicted_dirty[chrono],
-                probe=ev_seq[order][l2_miss] == 1,
+                probe=ev_on[order][l2_miss],
             )
             # replay_l2 counted DRAM traffic as if no assist were
             # attached; swap in the victim-filtered counts.
@@ -369,15 +320,6 @@ class MemoryHierarchy:
         fetch = itlb_miss * tlb_miss
         fetch[im_pos] |= ev_source[:n_im]
 
-        demand_idx = np.nonzero(demand_sorted)[0]
-        if demand_idx.size:
-            last = demand_idx[-1]
-            if ev_hit_sorted[last]:
-                self._last_source = "l2"
-            elif from_dram[last]:
-                self._last_source = "mem"
-            else:
-                self._last_source = "l2assist"
         if not sample:
             return data, fetch, None
 
@@ -414,76 +356,48 @@ class MemoryHierarchy:
         ]
         return data, fetch, counters
 
-    # ------------------------------------------------------------------
-    # internals
+    def _placed_l1(self, assist, d_lines, addrs, writes, on, sample):
+        """The L1D half of a replay whose assist places L1 fills itself.
 
-    def _fetch_into_l1(
-        self, addr: int, is_write: bool, assist: Optional[AssistInterface]
-    ) -> int:
-        """Bring the line for ``addr`` from L2/memory; place per assist."""
-        latency = self._access_l2(addr, assist)
-        if (
-            assist is None
-            or assist.fill_decision(
-                addr, self.l1d.victim_candidate(addr)
-            ).cache_in_l1
-        ):
-            self._install_l1(addr, is_write, assist)
-        else:
-            line = self.l1d.line_of(addr)
-            displaced = assist.accept_bypassed(addr, CacheBlock(line, is_write))
-            if displaced is not None and displaced.dirty:
-                self._writeback_to_l2(displaced, self.machine.l1d.block_size)
-        return latency
+        Over each range of accesses with the gate on, the assist's
+        ``filter_l1`` runs the L1D lookups and fills in record order
+        with its hooks; a range with the gate off is a plain L1D replay
+        per set, as with no assist.  Returns int64 columns of access
+        indices, each in any order: the L1 misses, the misses that go
+        to L2, the misses the assist served, the writebacks (with their
+        lines), and for interval sampling the misses that fill a free
+        way, the bypassed misses and each miss's change to the
+        assist's occupancy (aligned with the misses).
+        """
+        import numpy as np
 
-    def _access_l2(self, addr: int, assist: Optional[AssistInterface]) -> int:
-        """Look up L2 (then L2 assist, then DRAM); fill L2 on the way."""
-        latency = self.machine.l2.latency
-        if self.l2.lookup(addr):
-            self._last_source = "l2"
-            return latency
-        if assist:
-            l2_line = self.l2.line_of(addr)
-            block = assist.lookup_l2_alternate(l2_line)
-            if block is not None:
-                latency += ASSIST_HIT_CYCLES
-                self._install_l2(addr, block.dirty, assist)
-                self._last_source = "l2assist"
-                return latency
-        latency += self.memory.read_block(self.machine.l2.block_size)
-        self._install_l2(addr, False, assist)
-        self._last_source = "mem"
-        return latency
-
-    def _install_l1(
-        self, addr: int, dirty: bool, assist: Optional[AssistInterface]
-    ) -> None:
-        evicted = self.l1d.fill(addr, dirty)
-        if evicted is None:
-            return
-        if assist:
-            evicted = assist.on_l1_evict(evicted)
-        if evicted is not None and evicted.dirty:
-            self._writeback_to_l2(evicted, self.machine.l1d.block_size)
-
-    def _install_l2(
-        self, addr: int, dirty: bool, assist: Optional[AssistInterface]
-    ) -> None:
-        evicted = self.l2.fill(addr, dirty)
-        if evicted is None:
-            return
-        if assist:
-            evicted = assist.on_l2_evict(evicted)
-        if evicted is not None and evicted.dirty:
-            self.memory.write_block(self.machine.l2.block_size)
-
-    def _writeback_to_l2(self, block: CacheBlock, block_size: int) -> None:
-        """Write an evicted dirty L1-side line down the hierarchy."""
-        byte_addr = block.byte_addr(block_size)
-        if self.l2.probe(byte_addr):
-            self.l2.fill(byte_addr, dirty=True)
-        else:
-            self.memory.write_block(block_size)
+        empty = np.empty(0, dtype=np.int64)
+        bounds = [0, *(np.flatnonzero(on[1:] != on[:-1]) + 1).tolist()]
+        parts = []
+        for lo, hi in zip(bounds, bounds[1:] + [on.size]):
+            if on[lo]:
+                miss, demand, served, wb_pos, wb_lines, tracked = (
+                    assist.filter_l1(
+                        self.l1d, addrs[lo:hi], writes[lo:hi], track=sample
+                    )
+                )
+                free, bypassed, occupancy = tracked or (empty, empty, [0])
+                delta = np.diff(occupancy)
+            else:
+                _, miss, _, evicted, dirty = self.l1d.bulk_replay(
+                    d_lines[lo:hi], writes[lo:hi], need_hits=False
+                )
+                demand, served, bypassed = miss, empty, empty
+                wb_pos, wb_lines = miss[dirty], evicted[dirty]
+                free = miss[evicted < 0]
+                delta = np.zeros(miss.size, dtype=np.int64)
+            parts.append(
+                (
+                    miss + lo, demand + lo, served + lo, wb_pos + lo,
+                    wb_lines, free + lo, bypassed + lo, delta,
+                )
+            )
+        return [np.concatenate(column) for column in zip(*parts)]
 
     # ------------------------------------------------------------------
     # statistics

@@ -11,8 +11,8 @@ the hub records:
   compiler-marked region becomes a span;
 * **interval samples** — every ``interval`` cycles the hierarchy's
   cumulative counters are appended to a columnar
-  :class:`~repro.telemetry.series.TimeSeries` (one row at a time by
-  the scalar loop, a span's rows at once by the vector path);
+  :class:`~repro.telemetry.series.TimeSeries` (a segment's rows at
+  once by the simulator's timing fold, one row at a forced sample);
 * **boundary snapshots** — a full
   :class:`~repro.memory.stats.HierarchySnapshot` at run start, at every
   gate transition, and at run end.  Region-level statistics are exact

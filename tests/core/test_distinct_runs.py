@@ -28,6 +28,7 @@ from repro.isa.packed import PackedTrace
 from repro.params import base_config, higher_mem_latency
 from repro.workloads.base import TINY
 from repro.workloads.registry import get_spec, workload_names
+from tests.cpu import oracle
 
 MECHANISMS = ("bypass", "victim", "prefetch")
 CONFIGS = {"base": base_config, "higher_mem_latency": higher_mem_latency}
@@ -73,8 +74,8 @@ def test_runs_equal_fresh_simulations(codes, config):
 
 
 def test_classify_misses_is_part_of_a_run(codes):
-    """Only ``base`` and ``pure_sw`` classify misses, so a regular
-    code's selective runs no longer repeat ``pure_sw``."""
+    """``classify_misses`` reaches every version, and the copies of a
+    classifying cell equal fresh classifying runs."""
     machine = _machine()
     fresh = _fresh(codes, machine, classify_misses=True)
     _assert_same(
@@ -82,14 +83,26 @@ def test_classify_misses_is_part_of_a_run(codes):
     )
 
 
+def test_every_version_classifies_its_misses(codes):
+    """Each version of a ``classify_misses`` cell splits its L1D and
+    L2 misses into the three classes, wherever it misses."""
+    run = run_benchmark(codes, _machine(), MECHANISMS, True)
+    for key, result in run.results.items():
+        for level in (result.memory.l1d, result.memory.l2):
+            classes = (
+                level.compulsory_misses,
+                level.capacity_misses,
+                level.conflict_misses,
+            )
+            assert sum(classes) == level.misses, key
+            assert level.misses == 0 or level.compulsory_misses > 0, key
+
+
 _IRREGULAR = {
     "pure_sw": "base",
     **{f"combined/{m}": f"pure_hw/{m}" for m in MECHANISMS},
 }
 _REGULAR = {f"selective/{m}": "pure_sw" for m in MECHANISMS}
-_REGULAR_CLASSIFIED = {
-    f"selective/{m}": "selective/bypass" for m in MECHANISMS[1:]
-}
 
 
 def test_parallel_workers_get_only_distinct_runs(monkeypatch):
@@ -120,7 +133,7 @@ def test_parallel_workers_get_only_distinct_runs(monkeypatch):
         # Mixed, but the optimizer finds nothing to change.
         ("chaos", False, _IRREGULAR),
         ("vpenta", False, _REGULAR),
-        ("swim", True, _REGULAR_CLASSIFIED),
+        ("swim", True, _REGULAR),
         ("tpcd_q3", False, {}),
         ("tpcc", True, {}),
     ],
@@ -148,6 +161,8 @@ def test_which_versions_repeat(name, classify_misses, repeats, monkeypatch):
 
 
 @pytest.mark.parametrize("mechanism", MECHANISMS)
+# ``vectorize`` names the two legs as the ids have always read: None
+# runs the simulator, False the per-record loop of its oracle.
 @pytest.mark.parametrize("vectorize", [None, False])
 @pytest.mark.parametrize("classify_misses", [False, True])
 def test_gate_that_never_opens_is_no_assist(
@@ -159,11 +174,14 @@ def test_gate_that_never_opens_is_no_assist(
         get_spec("vpenta"), TINY, _machine()
     ).selective_trace
     assert trace.marker_positions().size == 0
-    kwargs = dict(classify_misses=classify_misses, vectorize=vectorize)
-    gated = simulate_trace(
-        trace, _machine(), mechanism, initially_on=False, **kwargs
+    simulate = oracle.simulate_trace if vectorize is False else simulate_trace
+    gated = simulate(
+        trace, _machine(), mechanism, initially_on=False,
+        classify_misses=classify_misses,
     )
-    assert gated == simulate_trace(trace, _machine(), **kwargs)
+    assert gated == simulate(
+        trace, _machine(), classify_misses=classify_misses
+    )
 
 
 def test_trace_kinds_follow_a_changed_trace():

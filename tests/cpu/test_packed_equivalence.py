@@ -1,11 +1,11 @@
-"""The vectorized kernels must be bit-identical to the scalar loop.
+"""The simulator must be bit-identical to its per-record oracle.
 
-``CPUSimulator.run`` keeps two implementations: the columnar scalar
-reference loop (``vectorize=False``) and the block-batched numpy
-kernels (:mod:`repro.cpu.vector`).  These tests run both on real
-benchmark traces — every benchmark, base and selective versions, both
-machine configurations — and assert the *entire*
-:class:`SimulationResult` (cycles, instruction counts, memory
+``CPUSimulator.run`` replays each trace in bulk and folds the replay
+through the timing model (:mod:`repro.cpu.vector`); the per-record
+loop it replaced is kept as the reference in ``tests/cpu/oracle.py``.
+These tests run both on real benchmark traces — every benchmark, base
+and selective versions, both machine configurations — and assert the
+*entire* :class:`SimulationResult` (cycles, instruction counts, memory
 snapshot) matches.  Any timing-model change must keep them in lockstep.
 Victim-cache and bypass runs additionally compare the hierarchy's end
 state (:func:`tests.cpu.test_vector_property.assert_same_state`), which
@@ -13,9 +13,8 @@ catches divergence no result field shows.  Sampled runs compare every
 telemetry interval-sample column, boundary snapshot, span and counter
 too (:func:`tests.cpu.test_vector_property.run_sampled`).
 
-``vectorize=True`` forces the numpy kernels even on spans below the
-``MIN_VECTOR_SPAN`` heuristic floor, so the TINY-scale traces here
-genuinely exercise the vector path rather than falling back to scalar.
+tpcc's selective trace, whose many gated regions are short, is one
+replay too (:class:`TestOneReplayPerTrace`).
 """
 
 from __future__ import annotations
@@ -24,12 +23,17 @@ import dataclasses
 
 import pytest
 
+import repro.core.experiment as experiment
 from repro.core.experiment import simulate_trace
-from repro.core.versions import prepare_codes
+from repro.core.versions import make_assist, prepare_codes
+from repro.cpu.pipeline import CPUSimulator
+from repro.hwopt.gate import HardwareGate
+from repro.memory.hierarchy import MemoryHierarchy
 from repro.params import base_config, higher_mem_latency
 from repro.telemetry import Telemetry
 from repro.workloads.base import TINY
 from repro.workloads.registry import all_specs, get_spec
+from tests.cpu import oracle
 from tests.cpu.test_vector_property import assert_same_state, run_sampled
 
 ALL_BENCHMARKS = [spec.name for spec in all_specs()]
@@ -65,15 +69,10 @@ def codes_by_name():
 
 
 def _assert_equivalent(packed_trace, config, **kwargs):
-    """Scalar loop == vectorized kernels."""
-    divisor = TINY.machine_divisor
-    scalar = simulate_trace(
-        packed_trace, config().scaled(divisor), vectorize=False, **kwargs
-    )
-    vector = simulate_trace(
-        packed_trace, config().scaled(divisor), vectorize=True, **kwargs
-    )
-    assert vector == scalar
+    """The oracle's per-record loop == the simulator's kernels."""
+    machine = config().scaled(TINY.machine_divisor)
+    expected = oracle.simulate_trace(packed_trace, machine, **kwargs)
+    assert simulate_trace(packed_trace, machine, **kwargs) == expected
 
 
 class TestPackedEquivalence:
@@ -126,7 +125,7 @@ class TestPackedEquivalence:
     def test_selective_trace_gated(
         self, codes_by_name, name, config, mechanism
     ):
-        """ON/OFF markers must toggle the gate identically in both paths."""
+        """ON/OFF markers must gate the assist as the oracle's do."""
         _assert_equivalent(
             codes_by_name[name].selective_trace,
             config,
@@ -215,8 +214,8 @@ def _sampled_leg(codes, version, mechanism):
 
 
 class TestSampledEquivalence:
-    """Interval sampling takes the kernels and samples as the scalar
-    loop does: results, every series column, the boundaries, spans and
+    """Interval sampling takes the kernels and samples as the oracle
+    does: results, every series column, the boundaries, spans and
     counters, bit for bit."""
 
     @pytest.mark.parametrize("interval", SAMPLE_INTERVALS)
@@ -226,9 +225,10 @@ class TestSampledEquivalence:
         self, codes_by_name, name, version, mechanism, interval
     ):
         trace, kwargs = _sampled_leg(codes_by_name[name], version, mechanism)
-        scalar = run_sampled(trace, False, interval, **kwargs)
-        assert run_sampled(trace, None, interval, **kwargs) == scalar
-        assert run_sampled(trace, True, interval, **kwargs) == scalar
+        expected = run_sampled(
+            trace, interval, simulate=oracle.simulate_trace, **kwargs
+        )
+        assert run_sampled(trace, interval, **kwargs) == expected
 
     @pytest.mark.parametrize(
         "version, mechanism", [SAMPLED_RUNS[0], SAMPLED_RUNS[-1]]
@@ -242,35 +242,80 @@ class TestSampledEquivalence:
         trace, kwargs = _sampled_leg(
             codes_by_name["tpcd_q3"], version, mechanism
         )
-        scalar = run_sampled(trace, False, 97, machine, **kwargs)
-        assert run_sampled(trace, True, 97, machine, **kwargs) == scalar
+        expected = run_sampled(
+            trace, 97, machine, simulate=oracle.simulate_trace, **kwargs
+        )
+        assert run_sampled(trace, 97, machine, **kwargs) == expected
 
     def test_sampled_run_takes_the_kernels(self, codes_by_name, monkeypatch):
-        """A sampling hub must not send the run back to the scalar loop."""
+        """A sampling hub cuts a segment at each marker, and every
+        segment samples inside the kernels."""
         from repro.cpu import vector
 
-        dispatched, spans = [], []
-        run_vectorized = vector.run_vectorized
-        simulate_span = vector._simulate_span
+        segments = []
+        simulate_segment = vector._simulate_segment
 
-        def dispatch_spy(sim, trace):
-            dispatched.append(sim.telemetry.interval)
-            return run_vectorized(sim, trace)
+        def segment_spy(sim, state, *args):
+            segments.append(state.next_sample is not None)
+            return simulate_segment(sim, state, *args)
 
-        def span_spy(sim, state, *args):
-            spans.append(state.next_sample is not None)
-            simulate_span(sim, state, *args)
-
-        monkeypatch.setattr(vector, "run_vectorized", dispatch_spy)
-        monkeypatch.setattr(vector, "_simulate_span", span_spy)
+        monkeypatch.setattr(vector, "_simulate_segment", segment_spy)
         hub = Telemetry(interval=1000)
+        trace = codes_by_name["tpcd_q3"].selective_trace
         simulate_trace(
-            codes_by_name["tpcd_q3"].selective_trace,
+            trace,
             base_config().scaled(TINY.machine_divisor),
             mechanism="bypass",
             initially_on=False,
             telemetry=hub,
         )
-        assert dispatched == [1000]
-        assert spans and all(spans)
-        assert len(hub.series) > len(spans)
+        assert len(segments) == trace.marker_positions().size + 1
+        assert all(segments)
+        assert len(hub.series) > len(segments)
+
+
+class TestOneReplayPerTrace:
+    """tpcc's selective trace, whose gated regions are short, runs as
+    one replay: the simulator keeps it, and a "Higher Mem. Lat." run
+    of the same trace is served from the memo and equals the oracle."""
+
+    @pytest.mark.parametrize("mechanism", ["bypass", "victim", "prefetch"])
+    def test_tpcc_selective(self, codes_by_name, mechanism, monkeypatch):
+        from repro.cpu import vector
+
+        trace = codes_by_name["tpcc"].selective_trace
+        assert trace.marker_positions().size > 1
+        base = base_config().scaled(TINY.machine_divisor)
+        slow = higher_mem_latency().scaled(TINY.machine_divisor)
+        kwargs = dict(mechanism=mechanism, initially_on=False)
+        experiment._REPLAYS.pop(id(trace), None)
+        segments = []
+        simulate_segment = vector._simulate_segment
+
+        def segment_spy(*args):
+            segments.append(args[2].size)
+            return simulate_segment(*args)
+
+        monkeypatch.setattr(vector, "_simulate_segment", segment_spy)
+        assist = make_assist(mechanism, base)
+        simulator = CPUSimulator(
+            base,
+            MemoryHierarchy(base, assist),
+            HardwareGate(assist, initially_on=False),
+        )
+        run = simulator.run(trace)
+        assert segments == [len(trace)]
+        assert simulator.replay.data.size == run.loads + run.stores
+
+        simulate_trace(trace, base, **kwargs)
+        served = []
+        retime = experiment.retime
+
+        def counted(*args):
+            served.append(args[0].name)
+            return retime(*args)
+
+        monkeypatch.setattr(experiment, "retime", counted)
+        result = simulate_trace(trace, slow, **kwargs)
+        assert served == [slow.name]
+        assert result == oracle.simulate_trace(trace, slow, **kwargs)

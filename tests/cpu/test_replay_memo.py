@@ -1,15 +1,16 @@
 """The replay memo of ``simulate_trace``.
 
-A vector run of a packed trace whose every span took the kernels
-keeps its whole-trace replay (the outcome codes of every access, fetch
-and branch, markers' fetches included) on the trace.  A later run of
-the same trace object on a machine that differs only in timing fields
-runs the timing fold alone.  These tests pin what that may and may not
-do: a memo-served result equals a fresh scalar run for every timing
-field, with or without markers, a structural change never hits, the
-scalar loop, telemetry and runs with a short span never touch the
-memo, an entry dies with its trace, and the memo never rides along
-when traces are pickled.
+Every run of a packed trace without telemetry is one replay of the
+whole trace (the outcome codes of every access, fetch and branch,
+markers' fetches included), and the run keeps it on the trace.  A
+later run of the same trace object on a machine that differs only in
+timing fields runs the timing fold alone.  These tests pin what that
+may and may not do: a memo-served result equals a fresh run of the
+per-record oracle (``tests/cpu/oracle.py``) for every timing field,
+with or without markers, however short the gated regions, a
+structural change never hits, telemetry runs and object traces never
+touch the memo, an entry dies with its trace, and the memo never rides
+along when traces are pickled.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from repro.params import base_config, higher_mem_latency
 from repro.telemetry import Telemetry
 from repro.workloads.base import TINY
 from repro.workloads.registry import get_spec
+from tests.cpu import oracle
 from tests.cpu.test_vector_property import packed_traces
 
 _MARKERS = (int(Opcode.HW_ON), int(Opcode.HW_OFF))
@@ -134,7 +136,7 @@ class TestMemoServedResults:
     def test_timing_change_equals_scalar(self, field, data):
         """Fill the memo on the base machine, then change one timing
         field: the run is served from the memo and equals a fresh run
-        of the scalar loop, with or without markers."""
+        of the oracle's per-record loop, with or without markers."""
         shape = data.draw(st.sampled_from(sorted(TRACE_SHAPES)))
         trace = data.draw(TRACE_SHAPES[shape])
         assume(len(trace) > 0)  # the memo skips empty traces
@@ -146,14 +148,14 @@ class TestMemoServedResults:
             initially_on=data.draw(st.booleans()),
             classify_misses=classify,
         )
-        simulate_trace(trace, _machine(), vectorize=True, **kwargs)
+        simulate_trace(trace, _machine(), **kwargs)
         assert _entries(trace) == 1
         with _hits() as hits:
-            served = simulate_trace(trace, machine, vectorize=True, **kwargs)
+            served = simulate_trace(trace, machine, **kwargs)
         assert len(hits) == 1
         assert _entries(trace) == 1  # a hit adds no entry
-        assert served == simulate_trace(
-            trace, machine, vectorize=False, **kwargs
+        assert served == oracle.simulate_trace(
+            trace, machine, **kwargs
         )
 
     def test_every_timing_field_at_once(self):
@@ -182,8 +184,8 @@ class TestMemoServedResults:
             with _hits() as hits:
                 served = simulate_trace(trace, machine, mechanism=mechanism)
             assert hits == ["slow"], mechanism
-            scalar = simulate_trace(
-                trace, machine, mechanism=mechanism, vectorize=False
+            scalar = oracle.simulate_trace(
+                trace, machine, mechanism=mechanism
             )
             assert served == scalar, mechanism
             assert served.machine_name == "slow"
@@ -200,15 +202,15 @@ class TestMemoServedResults:
         ))
         second.memory.l2.hits += 1000
         third = simulate_trace(trace, _machine())
-        assert third == simulate_trace(trace, _machine(), vectorize=False)
+        assert third == oracle.simulate_trace(trace, _machine())
 
     def test_extended_trace_misses(self):
         """A trace extended after its replay is replayed afresh."""
         trace = _long_trace()
         simulate_trace(trace, _machine())
         trace.extend(_long_trace())
-        assert simulate_trace(trace, _machine()) == simulate_trace(
-            trace, _machine(), vectorize=False
+        assert simulate_trace(trace, _machine()) == oracle.simulate_trace(
+            trace, _machine()
         )
 
 
@@ -260,8 +262,8 @@ class TestStructuralChangesMiss:
         with _hits() as hits:
             result = simulate_trace(trace, machine, mechanism=mechanism)
         assert hits == []
-        assert result == simulate_trace(
-            trace, machine, mechanism=mechanism, vectorize=False
+        assert result == oracle.simulate_trace(
+            trace, machine, mechanism=mechanism
         )
 
     @pytest.mark.parametrize(
@@ -280,8 +282,8 @@ class TestStructuralChangesMiss:
         with _hits() as hits:
             result = simulate_trace(trace, machine, mechanism=mechanism)
         assert hits == []
-        assert result == simulate_trace(
-            trace, machine, mechanism=mechanism, vectorize=False
+        assert result == oracle.simulate_trace(
+            trace, machine, mechanism=mechanism
         )
 
     @pytest.mark.parametrize(
@@ -299,8 +301,8 @@ class TestStructuralChangesMiss:
             result = simulate_trace(trace, _machine(), **change)
         assert hits == []
         assert _entries(trace) == 2
-        assert result == simulate_trace(
-            trace, _machine(), vectorize=False, **change
+        assert result == oracle.simulate_trace(
+            trace, _machine(), **change
         )
 
 
@@ -320,8 +322,8 @@ class TestOneEntryPerSetting:
             served = simulate_trace(trace, later)
             fresh = simulate_trace(trace, slower)
         assert hits == [later.name]
-        assert served == simulate_trace(trace, later, vectorize=False)
-        assert fresh == simulate_trace(trace, slower, vectorize=False)
+        assert served == oracle.simulate_trace(trace, later)
+        assert fresh == oracle.simulate_trace(trace, slower)
 
 
 class TestMemoScope:
@@ -334,17 +336,14 @@ class TestMemoScope:
 
         monkeypatch.setattr(experiment, "_replay_memo", refuse)
 
-    def test_scalar_runs(self, untouchable):
-        simulate_trace(_long_trace(), _machine(), vectorize=False)
-
     def test_telemetry_runs(self, untouchable):
         for interval in (0, 500):
             hub = Telemetry(interval=interval)
             simulate_trace(_long_trace(), _machine(), telemetry=hub)
 
     def test_marker_traces(self):
-        """A marker heads the span after it, so a markered run whose
-        spans all take the kernels keeps its replay and is served."""
+        """A markered run is one replay of the whole trace, so it
+        keeps its replay and is served."""
         slower = higher_mem_latency().scaled(TINY.machine_divisor)
         for at in (0, 700):
             for mechanism in MECHANISMS:
@@ -355,25 +354,33 @@ class TestMemoScope:
                 with _hits() as hits:
                     served = simulate_trace(trace, slower, **kwargs)
                 assert hits == [slower.name], (at, mechanism)
-                assert served == simulate_trace(
-                    trace, slower, vectorize=False, **kwargs
+                assert served == oracle.simulate_trace(
+                    trace, slower, **kwargs
                 ), (at, mechanism)
 
     @pytest.mark.parametrize("at", [1200, 1500])
-    def test_short_marker_spans(self, untouchable, at):
-        """The span a marker heads is under the floor: it takes the
-        scalar loop and leaves no replay, so the run does not reach the
-        memo."""
+    def test_short_marker_spans(self, at):
+        """A marker that leaves a short gated region (or one that is the
+        last record) changes nothing: the run is one replay, and a
+        latency-only run is served from it."""
         trace = _gated(_long_trace(), at)
+        slower = higher_mem_latency().scaled(TINY.machine_divisor)
         simulate_trace(trace, _machine(), mechanism="bypass")
+        with _hits() as hits:
+            served = simulate_trace(trace, slower, mechanism="bypass")
+        assert hits == [slower.name]
+        assert served == oracle.simulate_trace(
+            trace, slower, mechanism="bypass"
+        )
 
     def test_object_traces(self, untouchable):
         simulate_trace(_long_trace().to_trace(), _machine())
 
-    def test_short_traces_on_the_scalar_loop(self, untouchable):
+    def test_short_traces_reach_the_memo(self):
         ops, args, pcs = _long_trace().columns()
         short = PackedTrace("short", ops[:100], args[:100], pcs[:100])
         simulate_trace(short, _machine())
+        assert _entries(short) == 1
 
     def test_entry_freed_with_its_trace(self):
         trace = _long_trace()
@@ -394,9 +401,7 @@ def test_assist_hits_must_cost_the_coded_latency():
     machine = _machine()
     assist = make_assist("prefetch", machine)
     assist.lookup_alternate = lambda addr, line, is_write=False: (2, None)
-    simulator = CPUSimulator(
-        machine, MemoryHierarchy(machine, assist), vectorize=True
-    )
+    simulator = CPUSimulator(machine, MemoryHierarchy(machine, assist))
     with pytest.raises(ValueError, match="assist hit costs 2 cycles"):
         simulator.run(_long_trace())
 

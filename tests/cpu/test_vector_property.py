@@ -1,12 +1,12 @@
-"""Property-based lockstep check for the vectorized simulator path.
+"""Property-based lockstep check of the simulator against its oracle.
 
 Random packed traces — mixed opcodes, compressed ALU bursts, gate
 toggles mid-trace, miss storms sized to saturate the MSHR file and
 the load/store queue, write-heavy conflict storms that overflow the
 victim caches, and buffer storms that bypass lines into the bypass
 buffer, hit them there and displace dirty double words — must produce
-bit-identical results through both execution paths (the scalar
-reference loop and the block-batched numpy kernels).
+bit-identical results through the simulator's replay-and-fold kernels
+and the per-record loop of ``tests/cpu/oracle.py``.
 Hypothesis shrinks any divergence down to a minimal instruction
 sequence, which makes timing-model regressions far easier to localise
 than a benchmark-level mismatch.
@@ -15,24 +15,25 @@ Victim-cache and bypass runs also compare the machine state the
 results cannot show (:func:`machine_state`): a dirty bit that is never
 written back, a victim cache or bypass buffer left in the wrong order,
 or a MAT counter noted out of turn, would only surface in a later
-span.
+run.  Markers placed anywhere — at the first and last record, next to
+each other, repeated, around one-record segments — must leave every
+structure, gate count, sample and boundary snapshot as the oracle does
+(:class:`TestMarkerPlacement`).
 
-The two-way runs attach a telemetry hub with a drawn sampling
-interval, and the interval samples, boundary snapshots, spans and
-counters must match bit for bit as well (:func:`run_sampled`).
+The runs attach a telemetry hub with a drawn sampling interval, and
+the interval samples, boundary snapshots, spans and counters must
+match bit for bit as well (:func:`run_sampled`).
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.experiment import simulate_trace
 from repro.core.versions import make_assist
 from repro.cpu.pipeline import CPUSimulator
-from repro.cpu.vector import MIN_VECTOR_SPAN
-from repro.hwopt.controller import VictimCacheAssist
+from repro.hwopt.controller import CacheBypassAssist, VictimCacheAssist
 from repro.hwopt.gate import HardwareGate
 from repro.isa.instructions import Opcode
 from repro.isa.packed import PackedTrace
@@ -41,6 +42,7 @@ from repro.params import base_config
 from repro.telemetry import Telemetry
 from repro.telemetry.series import SAMPLE_FIELDS
 from repro.workloads.base import TINY
+from tests.cpu import oracle
 
 _LOAD = int(Opcode.LOAD)
 _STORE = int(Opcode.STORE)
@@ -185,22 +187,29 @@ intervals = st.one_of(
 )
 
 
-def run_sampled(trace, vectorize, interval, machine=None, **kwargs):
+def run_sampled(
+    trace, interval, machine=None, simulate=simulate_trace, **kwargs
+):
     """Simulate ``trace`` under a hub sampling every ``interval`` cycles.
 
     Returns the result and everything the hub recorded: each interval
     sample column, the boundary snapshots, spans, counters and gauges.
-    ``machine`` defaults to the TINY-scaled base configuration.
+    ``machine`` defaults to the TINY-scaled base configuration;
+    ``simulate`` is the simulator's ``simulate_trace`` or the oracle's.
     """
     hub = Telemetry(interval=interval)
-    result = simulate_trace(
+    result = simulate(
         trace,
         machine or base_config().scaled(TINY.machine_divisor),
         telemetry=hub,
-        vectorize=vectorize,
         **kwargs,
     )
-    recorded = {
+    return result, _recorded(hub)
+
+
+def _recorded(hub):
+    """Everything a telemetry hub recorded over one run."""
+    return {
         "series": {
             field: list(hub.series.column(field)) for field in SAMPLE_FIELDS
         },
@@ -210,14 +219,14 @@ def run_sampled(trace, vectorize, interval, machine=None, **kwargs):
         "gauges": hub.gauges,
         "total_cycles": hub.total_cycles,
     }
-    return result, recorded
 
 
 def _assert_two_way(trace, interval, **kwargs):
-    """Scalar loop == kernels forced onto every span == auto dispatch."""
-    scalar = run_sampled(trace, False, interval, **kwargs)
-    assert run_sampled(trace, True, interval, **kwargs) == scalar
-    assert run_sampled(trace, None, interval, **kwargs) == scalar
+    """The simulator == the oracle, telemetry included."""
+    expected = run_sampled(
+        trace, interval, simulate=oracle.simulate_trace, **kwargs
+    )
+    assert run_sampled(trace, interval, **kwargs) == expected
 
 
 def _cache_state(cache):
@@ -238,10 +247,20 @@ def _victim_state(victim):
 
 def _assist_state(assist):
     """The mechanism's own storage, in order, with its counters."""
+    if assist is None:
+        return {}
     if isinstance(assist, VictimCacheAssist):
         return {
             "l1_victim": _victim_state(assist.l1_victim),
             "l2_victim": _victim_state(assist.l2_victim),
+        }
+    if not isinstance(assist, CacheBypassAssist):  # stream buffers
+        return {
+            "streams": [
+                (list(b.lines), b.next_line, b.last_used)
+                for b in assist._buffers
+            ],
+            "counters": (assist._clock, assist._hits, assist._prefetched),
         }
     mat, sldt, buffer = assist.mat, assist.sldt, assist.buffer
     return {
@@ -261,46 +280,87 @@ def _assist_state(assist):
     }
 
 
-def machine_state(
-    trace, vectorize, mechanism="victim", initially_on=True, **kwargs
+def _tlb_state(tlb):
+    return [list(s) for s in tlb._sets], tlb.accesses, tlb.misses
+
+
+def _shadow_state(cache):
+    if not cache._classify:
+        return None
+    return sorted(cache._seen_lines), list(cache._shadow)
+
+
+def simulator_state(simulator):
+    """Every structure a run leaves behind: each cache's sets, dirty
+    bits, statistics and shadow classifier, the TLBs, the DRAM
+    counters, the branch predictor, the gate and the assist."""
+    hierarchy = simulator.hierarchy
+    gate = simulator.gate
+    predictor = simulator.predictor
+    return {
+        "l1d": _cache_state(hierarchy.l1d),
+        "l1i": _cache_state(hierarchy.l1i),
+        "l2": _cache_state(hierarchy.l2),
+        "shadows": (
+            _shadow_state(hierarchy.l1d), _shadow_state(hierarchy.l2)
+        ),
+        "dtlb": _tlb_state(hierarchy.dtlb),
+        "itlb": _tlb_state(hierarchy.itlb),
+        "dram": (hierarchy.memory.reads, hierarchy.memory.writes),
+        "predictor": (
+            predictor._counters,
+            predictor.predictions,
+            predictor.mispredictions,
+        ),
+        "gate": (gate.activations, gate.deactivations, gate.enabled),
+        **_assist_state(hierarchy.assist),
+    }
+
+
+def run_machine(
+    trace, by_oracle, mechanism="victim", initially_on=True,
+    telemetry=None, **kwargs
 ):
+    """Run ``trace`` on a fresh machine, through the oracle's loop or
+    the simulator's kernels; return the result and
+    :func:`simulator_state`."""
+    machine = base_config().scaled(TINY.machine_divisor)
+    assist = make_assist(mechanism, machine) if mechanism else None
+    hierarchy_cls, simulator_cls = (
+        (oracle.OracleHierarchy, oracle.OracleSimulator)
+        if by_oracle
+        else (MemoryHierarchy, CPUSimulator)
+    )
+    simulator = simulator_cls(
+        machine,
+        hierarchy_cls(machine, assist, **kwargs),
+        HardwareGate(assist, initially_on=initially_on),
+        telemetry=telemetry,
+    )
+    return simulator.run(trace), simulator_state(simulator)
+
+
+def machine_state(trace, by_oracle, mechanism="victim", **kwargs):
     """Run ``trace`` with an assist; return the result and end state.
 
     The state covers what :class:`SimulationResult` equality cannot
     see: per-set LRU order and dirty bits of L1D and L2, the DRAM
-    counters, ``_last_source`` and the assist's own state — for victim
-    caches both caches' contents, order, dirty bits and statistics; for
-    bypassing the MAT tags, counters and aging phase, the SLDT's LRU
-    order, touched-word masks and spatial counters, and the bypass
-    buffer's order, dirty bits and statistics.
+    counters and the assist's own state — for victim caches both
+    caches' contents, order, dirty bits and statistics; for bypassing
+    the MAT tags, counters and aging phase, the SLDT's LRU order,
+    touched-word masks and spatial counters, and the bypass buffer's
+    order, dirty bits and statistics.
     """
-    machine = base_config().scaled(TINY.machine_divisor)
-    assist = make_assist(mechanism, machine)
-    hierarchy = MemoryHierarchy(machine, assist, **kwargs)
-    simulator = CPUSimulator(
-        machine,
-        hierarchy,
-        HardwareGate(assist, initially_on=initially_on),
-        vectorize=vectorize,
-    )
-    result = simulator.run(trace)
-    state = {
-        "l1d": _cache_state(hierarchy.l1d),
-        "l2": _cache_state(hierarchy.l2),
-        "dram": (hierarchy.memory.reads, hierarchy.memory.writes),
-        "last_source": hierarchy._last_source,
-        **_assist_state(assist),
-    }
-    return result, state
+    return run_machine(trace, by_oracle, mechanism, **kwargs)
 
 
 def assert_same_state(trace, **kwargs):
-    """``vectorize=True`` and ``vectorize=False`` leave equal machines."""
-    scalar_result, scalar_state = machine_state(trace, False, **kwargs)
-    vector_result, vector_state = machine_state(trace, True, **kwargs)
-    assert vector_result == scalar_result
-    for key in scalar_state:
-        assert vector_state[key] == scalar_state[key], key
+    """The simulator and the oracle leave equal machines."""
+    expected_result, expected_state = machine_state(trace, True, **kwargs)
+    result, state = machine_state(trace, False, **kwargs)
+    assert result == expected_result
+    for key in expected_state:
+        assert state[key] == expected_state[key], key
 
 
 class TestVectorProperty:
@@ -316,9 +376,10 @@ class TestVectorProperty:
         interval=intervals,
     )
     def test_gated_assist(self, trace, mechanism, interval):
-        """Toggles enable the assist: vector spans must interleave with
-        bulk-replayed assist-on spans on shared timing state, and the
-        samples taken in each must read the assist's counters."""
+        """Toggles enable the assist: the replay must apply each
+        access's gate state, the folds of a sampled run's segments
+        must share one timing state, and the samples taken in each
+        must read the assist's counters."""
         _assert_two_way(
             trace, interval, mechanism=mechanism, initially_on=False
         )
@@ -341,97 +402,77 @@ class TestVectorProperty:
     @given(trace=packed_traces())
     def test_bypass_state(self, trace):
         """Markers toggle a bypass gate that starts on: the MAT, SLDT
-        and buffer must end as the scalar loop leaves them."""
+        and buffer must end as the oracle leaves them."""
         assert_same_state(trace, mechanism="bypass", classify_misses=True)
 
 
-def _run_gated_resume(monkeypatch, mechanism, middle):
-    """Auto-dispatch a vector -> assist-on -> vector trace.
+def _insert(records, at, op):
+    """``records`` with a marker ``op`` inserted before record ``at``,
+    on the pc of the record it precedes (or just past the last one)."""
+    pc = records[at][2] if at < len(records) else records[-1][2] + 4
+    return records[:at] + [(op, 0, pc)] + records[at:]
 
-    The gate-off spans exceed ``MIN_VECTOR_SPAN``, so they take the
-    kernels; the assist-enabled middle span has ``middle`` iterations.
-    Returns the assist state of every span the vector path ran, plus
-    the auto-dispatched and scalar-loop results.
+
+@st.composite
+def marker_placements(draw):
+    """A random trace with HW_ON/HW_OFF markers placed anywhere.
+
+    Each placement puts two markers of drawn kinds ``gap`` records
+    apart: next to each other (0), around a one-record segment (1) or
+    further.  Kinds are drawn freely, so ON-ON and OFF-OFF pairs make
+    redundant markers.  A marker may also open the trace or be its
+    last record.
     """
-    from repro.cpu import vector
-
-    records = []
-    pc = 0x400000
-
-    def emit(op, arg):
-        nonlocal pc
-        pc += 4
-        records.append((op, arg, pc))
-
-    span = MIN_VECTOR_SPAN + 64
-    for i in range(span):
-        emit(_LOAD, (i * 4096) % (1 << 20))
-    emit(_HW_ON, 0)
-    for i in range(middle):
-        emit(_STORE if i % 3 else _LOAD, _POOL[i % len(_POOL)])
-        if i % 7 == 0:
-            emit(_STORE, 0x80000 + (i * 1024) % (1 << 16))
-    emit(_HW_OFF, 0)
-    for i in range(span):
-        emit(_ALU if i % 5 == 0 else _LOAD, (i * 32) % (1 << 16) or 1)
-    ops, args, pcs = zip(*records)
-    trace = PackedTrace("resume", ops, args, pcs)
-
-    scalar = simulate_trace(
-        trace,
-        base_config().scaled(TINY.machine_divisor),
-        mechanism=mechanism,
-        initially_on=False,
-        vectorize=False,
+    records = list(zip(*draw(packed_traces()).columns()))
+    kinds = st.sampled_from([_HW_ON, _HW_OFF])
+    placements = st.tuples(
+        st.integers(0, len(records)), st.sampled_from([0, 1, 2, 5]),
+        kinds, kinds,
     )
+    for at, gap, first, second in draw(st.lists(placements, max_size=6)):
+        at = min(at, len(records))
+        records = _insert(records, at, first)
+        records = _insert(records, min(at + 1 + gap, len(records)), second)
+    if draw(st.booleans()):
+        records = _insert(records, 0, draw(kinds))
+    if draw(st.booleans()):
+        records = _insert(records, len(records), draw(kinds))
+    return PackedTrace("markers", *zip(*records))
 
-    seen = []
-    simulate_span = vector._simulate_span
 
-    def record(sim, *args):
-        seen.append(sim.hierarchy.assist.enabled)
-        simulate_span(sim, *args)
+class TestMarkerPlacement:
+    """Wherever the markers sit, one replay per trace (or one segment
+    per marker under telemetry) leaves what the per-record loop does:
+    the result, every cache, TLB, predictor and assist structure, the
+    gate's counts, the sample series and the boundary snapshots."""
 
-    monkeypatch.setattr(vector, "_simulate_span", record)
-    auto = simulate_trace(
-        trace,
-        base_config().scaled(TINY.machine_divisor),
-        mechanism=mechanism,
-        initially_on=False,
+    @settings(max_examples=80, deadline=None)
+    @given(
+        trace=marker_placements(),
+        mechanism=st.sampled_from([None, "bypass", "victim", "prefetch"]),
+        initially_on=st.booleans(),
+        interval=st.sampled_from([None, 97]),
     )
-    return seen, auto, scalar
-
-
-class TestMidSegmentFallbackResume:
-    def test_vector_resumes_after_scalar_fallback_span(self, monkeypatch):
-        """vector span -> short assist-on scalar span -> vector span.
-
-        The victim span is below ``MIN_VECTOR_SPAN``, so it runs the
-        scalar fallback on the same ``_PackedState``.  The result must
-        still match the scalar reference loop exactly.
-        """
-        seen, auto, scalar = _run_gated_resume(monkeypatch, "victim", 200)
-        assert seen == [False, False]
-        assert auto == scalar
-
-    @pytest.mark.parametrize(
-        "mechanism, vector_spans",
-        [
-            # An assist span above the floor is replayed in bulk.
-            ("bypass", [False, True, False]),
-            ("victim", [False, True, False]),
-        ],
-        ids=["bypass", "victim"],
-    )
-    def test_vector_resumes_around_long_assist_span(
-        self, monkeypatch, mechanism, vector_spans
+    def test_matches_the_oracle(
+        self, trace, mechanism, initially_on, interval
     ):
-        """vector span -> long assist-on span -> vector span again."""
-        seen, auto, scalar = _run_gated_resume(
-            monkeypatch, mechanism, MIN_VECTOR_SPAN + 200
-        )
-        assert seen == vector_spans
-        assert auto == scalar
+        legs = []
+        for by_oracle in (True, False):
+            hub = None if interval is None else Telemetry(interval=interval)
+            result, state = run_machine(
+                trace,
+                by_oracle,
+                mechanism,
+                initially_on=initially_on,
+                telemetry=hub,
+                classify_misses=True,
+            )
+            legs.append((result, state, hub and _recorded(hub)))
+        (expected, expected_state, expected_hub), (result, state, hub) = legs
+        assert result == expected
+        for key in expected_state:
+            assert state[key] == expected_state[key], key
+        assert hub == expected_hub
 
 
 class TestVictimReinsert:
@@ -483,10 +524,6 @@ class TestBypassBufferTiming:
         emit(_LOAD, hot + 4 * 1024)  # served by the buffer
         trace = PackedTrace("buffer-hit", *zip(*records))
         _assert_two_way(trace, 1, mechanism="bypass")
-        scalar = simulate_trace(
-            trace,
-            base_config().scaled(TINY.machine_divisor),
-            mechanism="bypass",
-            vectorize=False,
-        )
-        assert scalar.memory.assist_hits == 1
+        machine = base_config().scaled(TINY.machine_divisor)
+        result = simulate_trace(trace, machine, mechanism="bypass")
+        assert result.memory.assist_hits == 1

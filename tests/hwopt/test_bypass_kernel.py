@@ -225,10 +225,6 @@ def test_bypass_spans_take_the_fused_loop(monkeypatch, interval):
     monkeypatch.setattr(CacheBypassAssist, "filter_l1", spy)
     telemetry = Telemetry(interval=interval) if interval else None
     simulate_trace(
-        codes.base_trace,
-        machine,
-        mechanism="bypass",
-        vectorize=True,
-        telemetry=telemetry,
+        codes.base_trace, machine, mechanism="bypass", telemetry=telemetry
     )
     assert entered and all(track is bool(interval) for track in entered)

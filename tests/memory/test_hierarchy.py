@@ -1,10 +1,15 @@
-"""Integration tests for the memory hierarchy."""
+"""Integration tests for the memory hierarchy's per-access walk.
+
+The walk (``data_access``/``inst_fetch``) lives in the oracle
+:class:`tests.cpu.oracle.OracleHierarchy`, which the simulator's bulk
+replay is checked against.
+"""
 
 import pytest
 
 from repro.hwopt.controller import CacheBypassAssist, VictimCacheAssist
-from repro.memory.hierarchy import MemoryHierarchy
 from repro.params import base_config
+from tests.cpu.oracle import OracleHierarchy
 
 
 @pytest.fixture
@@ -14,7 +19,7 @@ def machine():
 
 class TestDataPath:
     def test_l1_hit_latency(self, machine):
-        h = MemoryHierarchy(machine)
+        h = OracleHierarchy(machine)
         h.data_access(0x1000)  # warm (includes TLB miss)
         result = h.data_access(0x1000)
         assert result.l1_hit
@@ -22,14 +27,14 @@ class TestDataPath:
         assert result.served_by == "l1"
 
     def test_cold_miss_goes_to_memory(self, machine):
-        h = MemoryHierarchy(machine)
+        h = OracleHierarchy(machine)
         result = h.data_access(0x4000)
         assert not result.l1_hit
         assert result.served_by == "mem"
         assert result.latency >= machine.mem_latency
 
     def test_l2_hit_after_l1_eviction(self, machine):
-        h = MemoryHierarchy(machine)
+        h = OracleHierarchy(machine)
         base = 0x100000
         h.data_access(base)
         # Evict base from L1 by filling its set (L1: 256 sets, 4 ways;
@@ -45,15 +50,15 @@ class TestDataPath:
         )
 
     def test_tlb_miss_penalty_added(self, machine):
-        h = MemoryHierarchy(machine)
+        h = OracleHierarchy(machine)
         first = h.data_access(0x200000)
-        h2 = MemoryHierarchy(machine)
+        h2 = OracleHierarchy(machine)
         h2.dtlb.lookup(0x200000)  # pre-warm the page
         second = h2.data_access(0x200000)
         assert first.latency == second.latency + machine.dtlb.miss_penalty
 
     def test_write_allocates_and_dirties(self, machine):
-        h = MemoryHierarchy(machine)
+        h = OracleHierarchy(machine)
         h.data_access(0x3000, is_write=True)
         assert h.l1d.probe(0x3000)
         line = h.l1d.line_of(0x3000)
@@ -64,7 +69,7 @@ class TestDataPath:
         assert h.l1d.stats.writebacks == 1
 
     def test_snapshot_counts(self, machine):
-        h = MemoryHierarchy(machine)
+        h = OracleHierarchy(machine)
         for i in range(10):
             h.data_access(0x1000 + 64 * i)
         snap = h.snapshot()
@@ -74,12 +79,12 @@ class TestDataPath:
 
 class TestInstructionPath:
     def test_ifetch_hits_after_warm(self, machine):
-        h = MemoryHierarchy(machine)
+        h = OracleHierarchy(machine)
         h.inst_fetch(0x400000)
         assert h.inst_fetch(0x400000) == machine.l1i.latency
 
     def test_ifetch_separate_from_data(self, machine):
-        h = MemoryHierarchy(machine)
+        h = OracleHierarchy(machine)
         h.inst_fetch(0x400000)
         assert not h.l1d.probe(0x400000)
         assert h.l1i.probe(0x400000)
@@ -89,7 +94,7 @@ class TestAssistGating:
     def test_disabled_assist_is_ignored(self, machine):
         assist = VictimCacheAssist(machine)
         assist.enabled = False
-        h = MemoryHierarchy(machine, assist)
+        h = OracleHierarchy(machine, assist)
         span = machine.l1d.num_sets * machine.l1d.block_size
         h.data_access(0x100000)
         for way in range(1, 5):
@@ -99,7 +104,7 @@ class TestAssistGating:
 
     def test_enabled_victim_captures_evictions(self, machine):
         assist = VictimCacheAssist(machine)
-        h = MemoryHierarchy(machine, assist)
+        h = OracleHierarchy(machine, assist)
         span = machine.l1d.num_sets * machine.l1d.block_size
         h.data_access(0x100000)
         for way in range(1, 5):
@@ -108,7 +113,7 @@ class TestAssistGating:
 
     def test_victim_hit_swaps_back_into_l1(self, machine):
         assist = VictimCacheAssist(machine)
-        h = MemoryHierarchy(machine, assist)
+        h = OracleHierarchy(machine, assist)
         span = machine.l1d.num_sets * machine.l1d.block_size
         h.data_access(0x100000)
         for way in range(1, 5):
@@ -121,7 +126,7 @@ class TestAssistGating:
 
     def test_bypass_assist_attaches(self, machine):
         assist = CacheBypassAssist(machine)
-        h = MemoryHierarchy(machine, assist)
+        h = OracleHierarchy(machine, assist)
         for i in range(100):
             h.data_access(0x100000 + i * 8)
         snap = h.snapshot()
@@ -136,9 +141,9 @@ class TestInstanceIsolation:
         class-level ``_last_source`` would leak the last access's
         provenance from one into the other.
         """
-        a = MemoryHierarchy(machine)
-        b = MemoryHierarchy(machine)
-        assert "_last_source" not in MemoryHierarchy.__dict__
+        a = OracleHierarchy(machine)
+        b = OracleHierarchy(machine)
+        assert "_last_source" not in OracleHierarchy.__dict__
         # Drive `a` to an L2 hit: miss once (fills L2+L1), evict from
         # L1 is irrelevant — a fresh address misses L1 but hits L2 after
         # the first fill.

