@@ -15,10 +15,10 @@ The package implements the paper's full stack from scratch:
   the locality transformations — interchange, layout selection,
   padding, tiling, unroll-and-jam, scalar replacement
   (:mod:`repro.compiler`);
-* a quantitative locality model — Fenwick-indexed LRU-stack reuse
-  distances, whole-curve miss-ratio prediction, per-region profiles,
-  and a model-driven ON/OFF gating policy (:mod:`repro.locality`,
-  :mod:`repro.hwopt.policy`);
+* a quantitative locality model — exact LRU stack (reuse) distances
+  of a whole trace in one numpy pass, whole-curve miss-ratio
+  prediction, per-region profiles, and a model-driven ON/OFF gating
+  policy (:mod:`repro.locality`, :mod:`repro.hwopt.policy`);
 * the 13-benchmark workload suite (:mod:`repro.workloads`), experiment
   drivers (:mod:`repro.core`) and the table/figure reproduction
   harness (:mod:`repro.evaluation`).
@@ -60,9 +60,9 @@ from repro.hwopt import (
 from repro.isa import Instruction, Opcode, Trace, TraceBuilder
 from repro.locality import (
     MissRatioCurve,
-    ReuseStackEngine,
     distance_histogram,
     split_profiles,
+    stack_distances,
 )
 from repro.memory import MemoryHierarchy
 from repro.params import (
@@ -94,7 +94,6 @@ __all__ = [
     "MissRatioCurve",
     "Opcode",
     "OptimizationReport",
-    "ReuseStackEngine",
     "SENSITIVITY_CONFIGS",
     "SMALL",
     "Scale",
@@ -125,5 +124,6 @@ __all__ = [
     "run_suite",
     "run_sweep",
     "split_profiles",
+    "stack_distances",
     "verify_program",
 ]

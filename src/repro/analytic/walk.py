@@ -3,9 +3,12 @@
 The closed-form model (:mod:`repro.analytic.model`) is judged against
 the trace pipeline itself: the program is executed by
 :class:`repro.tracegen.interpreter.TraceGenerator` and the packed trace
-is run through the same reuse-stack consumers the simulator-side
-locality tools use.  These wrappers exist so model tests and callers
-can name "the exact answer for this program" in one call.
+is run through the same stack-distance consumers the simulator-side
+locality tools use — every distance of the trace in one numpy pass
+(:func:`repro.locality.stack.stack_distances`), so an exact walk costs
+about as much as generating its trace.  These wrappers exist so model
+tests and callers can name "the exact answer for this program" in one
+call.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ def walk_profile(
     """Exact per-region locality profile.
 
     ``split_profiles`` of the executor's trace of ``program`` — one
-    shared LRU stack, distances binned into the dynamic region they
-    occur in.
+    whole-trace distance column, binned into the dynamic region each
+    reference occurs in.
     """
     trace = TraceGenerator(program).generate_packed()
     return split_profiles(trace, line_size, initially_on)

@@ -94,14 +94,17 @@ def locality_row(
     codes = prepare_codes(spec, scale, machine)
     line_size = machine.l1d.block_size
     cache_lines = machine.l1d.num_blocks
-    base_curve = distance_histogram(
-        codes.base_trace, line_size=line_size
-    ).curve()
+    # Hold only the traces still to be profiled: each stack-distance
+    # pass allocates a few integer columns per memory reference.
+    base_trace, selective_trace = codes.base_trace, codes.selective_trace
+    del codes
+    base_curve = distance_histogram(base_trace, line_size=line_size).curve()
+    del base_trace
     selective_histogram = distance_histogram(
-        codes.selective_trace, line_size=line_size
+        selective_trace, line_size=line_size
     )
     comparison = recommend_gating(
-        codes.selective_trace,
+        selective_trace,
         machine,
         initially_on=False,
         miss_floor=miss_floor,

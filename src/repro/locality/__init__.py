@@ -3,16 +3,19 @@
 The paper's framework decides *where* cache optimization pays off; this
 subsystem supplies the quantitative model behind that decision:
 
-* :class:`ReuseStackEngine` — a Mattson LRU stack indexed by a Fenwick
-  tree, giving exact stack (reuse) distances in O(N log M) for an
-  N-reference trace over M distinct lines;
-* :func:`distance_histogram` / :class:`MissRatioCurve` — one trace
-  traversal yields the predicted fully-associative LRU miss count for
+* :func:`stack_distances` — exact Mattson LRU stack (reuse) distances
+  of every reference of a trace, computed together in one numpy pass
+  (O(N log N) for an N-reference trace, no per-reference Python);
+* :func:`distance_histogram` / :class:`MissRatioCurve` — the distance
+  histogram yields the predicted fully-associative LRU miss count for
   *every* cache capacity at once (Mattson's stack-inclusion property;
   bit-exact against direct cache simulation);
-* :func:`split_profiles` — the distance stream split at ON/OFF markers
+* :func:`split_profiles` — the distance column split at ON/OFF markers
   into per-region profiles, feeding the model-driven gating policy in
   :mod:`repro.hwopt.policy`.
+
+The per-access Fenwick-tree LRU stack these once ran on is the
+reference oracle in ``tests/locality/oracle.py``.
 """
 
 from repro.locality.mrc import (
@@ -25,7 +28,7 @@ from repro.locality.profile import (
     RegionProfile,
     split_profiles,
 )
-from repro.locality.stack import COLD, ReuseStackEngine
+from repro.locality.stack import COLD, stack_distances
 
 __all__ = [
     "COLD",
@@ -33,7 +36,7 @@ __all__ = [
     "LocalityProfile",
     "MissRatioCurve",
     "RegionProfile",
-    "ReuseStackEngine",
     "distance_histogram",
     "split_profiles",
+    "stack_distances",
 ]

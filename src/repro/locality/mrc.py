@@ -1,11 +1,11 @@
 """Distance histograms and miss-ratio curves (MRCs).
 
-One pass over a trace through the :class:`~repro.locality.stack.\
-ReuseStackEngine` yields the full stack-distance histogram; by Mattson's
-stack-inclusion property that histogram *is* the miss profile of every
-fully-associative LRU cache at once: an access with stack distance ``d``
-hits in any LRU cache of capacity > ``d`` lines and misses in every
-smaller one.  So
+The stack distances of a trace (:func:`repro.locality.stack.\
+stack_distances`, one numpy pass) yield its full stack-distance
+histogram; by Mattson's stack-inclusion property that histogram *is*
+the miss profile of every fully-associative LRU cache at once: an
+access with stack distance ``d`` hits in any LRU cache of capacity
+> ``d`` lines and misses in every smaller one.  So
 
     misses(C) = cold accesses + #{accesses with distance >= C}
 
@@ -13,19 +13,21 @@ exactly — not approximately — which is pinned against direct
 :class:`repro.memory.cache.SetAssociativeCache` simulation by
 ``tests/locality/test_mrc_cache_agreement.py``.
 
-:func:`distance_histogram` scans the columns of a
-:class:`~repro.isa.packed.PackedTrace` (ints compared against ints, no
-per-record :class:`Instruction` objects), like the simulator's hot
-loop; object traces are packed on entry.
+:func:`distance_histogram` reads the memory references straight from
+the numpy columns of a :class:`~repro.isa.packed.PackedTrace` (no
+per-record :class:`Instruction` objects); object traces are packed on
+entry.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 
+import numpy as np
+
 from repro.isa.instructions import Opcode
 from repro.isa.packed import AnyTrace, as_packed
-from repro.locality.stack import COLD, ReuseStackEngine
+from repro.locality.stack import COLD, stack_distances
 
 __all__ = ["DistanceHistogram", "MissRatioCurve", "distance_histogram"]
 
@@ -42,12 +44,19 @@ class DistanceHistogram:
         self.counts: dict[int, int] = {}
         self.cold = 0
 
-    def record(self, distance: int) -> None:
-        if distance == COLD:
-            self.cold += 1
-        else:
-            counts = self.counts
-            counts[distance] = counts.get(distance, 0) + 1
+    @classmethod
+    def of(cls, distances: np.ndarray) -> "DistanceHistogram":
+        """Histogram of a column of stack distances (:data:`COLD` = cold)."""
+        # Bin d + 1, so cold (-1) is bin 0; a distance is below the
+        # number of distinct lines, so the bins stay that short.
+        bins = np.bincount(distances - COLD)
+        histogram = cls()
+        if bins.size:
+            histogram.cold = int(bins[0])
+            reuse = bins[1:]
+            seen = np.flatnonzero(reuse)
+            histogram.counts = dict(zip(seen.tolist(), reuse[seen].tolist()))
+        return histogram
 
     @property
     def total(self) -> int:
@@ -164,22 +173,13 @@ class MissRatioCurve:
 
 
 def distance_histogram(
-    trace: AnyTrace,
-    line_size: int = 32,
-    engine: ReuseStackEngine | None = None,
+    trace: AnyTrace, line_size: int = 32
 ) -> DistanceHistogram:
-    """Stack-distance histogram of a trace's memory references, one pass.
+    """Stack-distance histogram of a trace's memory references.
 
-    ``engine`` lets callers thread one LRU stack through several trace
-    segments (see :mod:`repro.locality.profile`); by default a fresh
-    stack is used, i.e. the first touch of every line is cold.
+    The first touch of every line is cold.
     """
-    engine = engine or ReuseStackEngine()
-    histogram = DistanceHistogram()
-    access = engine.access
-    record = histogram.record
-    ops, args, _pcs = as_packed(trace).columns()
-    for op, arg in zip(ops, args):
-        if op == _LOAD or op == _STORE:
-            record(access(arg // line_size))
-    return histogram
+    ops, args, _pcs = as_packed(trace).numpy_columns()
+    lines = args[(ops == _LOAD) | (ops == _STORE)]
+    lines //= line_size
+    return DistanceHistogram.of(stack_distances(lines))

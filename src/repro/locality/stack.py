@@ -1,132 +1,143 @@
-"""Mattson LRU-stack engine with a Fenwick-tree index.
+"""Exact Mattson LRU stack distances of a whole trace, in one numpy pass.
 
-The classic way to obtain exact LRU stack (reuse) distances is to keep
-the lines in a recency-ordered list and, on each access, count how many
-entries sit above the touched line — O(stack depth) per access, which is
-what the original ``reuse_distance_histogram`` did and why it was
-quadratic on reuse-heavy traces.
+The stack (reuse) distance of a reference is the number of *distinct
+other* lines touched since the previous reference to the same line —
+equivalently the line's 0-based depth in an LRU stack at the moment of
+the access.  0 means immediate reuse; a first touch is :data:`COLD`.
 
-This engine uses the standard timestamp + Fenwick/binary-indexed-tree
-formulation (Bennett & Kruskal / Almási et al.): every line remembers
-the timestamp of its most recent access, and a Fenwick tree over
-timestamps holds a 1 at exactly the positions that are *currently* some
-line's most recent access.  The stack distance of an access is then the
-number of set positions *after* the line's previous timestamp — one
-prefix-sum query, O(log T) where T is the live timeline span.
+:func:`stack_distances` computes every distance of a trace at once,
+offline, instead of walking an LRU stack reference by reference.  With
+``p`` the previous reference to the line of reference ``i``:
 
-The timeline is compacted whenever it fills: live lines are renumbered
-``1..M`` in recency order and the capacity is resized to twice the live
-line count.  Each access therefore costs O(log M) amortized (M =
-distinct lines seen so far), for O(N log M) over an N-reference trace —
-against O(N·M) for the list scan.
+    d(i) = (i - p - 1) - #{j : p < j, next(j) < i}
 
-Distances are 0-based: 0 means the line was the most recently used
-(immediate reuse), matching the OrderedDict-position convention of the
-previous implementation.  A first touch returns :data:`COLD` (-1).
+The window between ``p`` and ``i`` holds ``i - p - 1`` references; each
+one whose line is touched again inside the window is a repeat, not a
+new distinct line.  Each such ``j`` is the start of a reuse interval
+``(j, next(j))`` nested inside ``(p, i)``.  Number the reuses in trace
+order: reuse ``k`` nests inside reuse ``k'`` exactly when ``k < k'``
+and ``start(k) > start(k')``, so the subtracted term is, per reuse, an
+inversion count of the start column:
+
+    #{k' < k : start(k') > start(k)} = k - #{k' < k : start(k') < start(k)}
+
+The last count is taken for all reuses together by a wavelet matrix
+over the reuse numbers in start order: one stable partition per bit of
+``k``, ``log2(reuses)`` levels of whole-column numpy operations.  Time
+is O(N log N) for an N-reference trace and memory a few integer
+columns of length N; no Python code runs per reference.
+
+The per-access Fenwick-tree LRU stack this replaces is kept as the
+reference oracle in ``tests/locality/oracle.py``.
 """
 
 from __future__ import annotations
 
-__all__ = ["COLD", "ReuseStackEngine"]
+import numpy as np
+
+__all__ = ["COLD", "stack_distances"]
 
 #: Sentinel distance for a first touch (compulsory / cold access).
 COLD = -1
 
-_MIN_CAPACITY = 1024
+#: Bit offset of a reuse's number in the packed partition column.
+_NUMBER = 32
 
 
-class ReuseStackEngine:
-    """Exact LRU stack distances, one :meth:`access` call per reference."""
+def stack_distances(lines) -> np.ndarray:
+    """Stack distance of every reference of ``lines``, as an int64 column.
 
-    __slots__ = ("_tree", "_capacity", "_time", "_last")
-
-    def __init__(self) -> None:
-        self._capacity = _MIN_CAPACITY
-        self._tree = [0] * (self._capacity + 1)
-        self._time = 0  # last timestamp handed out (1-based positions)
-        self._last: dict[int, int] = {}  # line -> its latest timestamp
-
-    @property
-    def live_lines(self) -> int:
-        """Distinct lines seen so far (the LRU stack depth)."""
-        return len(self._last)
-
-    def access(self, line: int) -> int:
-        """Record one access; return its stack distance (or :data:`COLD`).
-
-        The distance is the number of *distinct other* lines accessed
-        since the previous access to ``line`` — equivalently the line's
-        0-based depth in the LRU stack at the moment of the access.
-        """
-        if self._time >= self._capacity:
-            self._compact()
-        tree = self._tree
-        now = self._time + 1
-        self._time = now
-        last = self._last
-        prev = last.get(line)
-        if prev is None:
-            distance = COLD
-        else:
-            # prefix(prev) = live lines whose latest access is <= prev
-            # (including this line itself), so the lines *above* it on
-            # the stack are the remainder.
-            prefix = 0
-            i = prev
-            while i > 0:
-                prefix += tree[i]
-                i -= i & -i
-            distance = len(last) - prefix
-            # Clear the stale position.
-            i = prev
-            capacity = self._capacity
-            while i <= capacity:
-                tree[i] -= 1
-                i += i & -i
-        # Mark the new most-recent position.
-        i = now
-        capacity = self._capacity
-        while i <= capacity:
-            tree[i] += 1
-            i += i & -i
-        last[line] = now
-        return distance
-
-    def depth(self, line: int) -> int:
-        """Current stack depth of ``line`` without touching it (or COLD)."""
-        prev = self._last.get(line)
-        if prev is None:
-            return COLD
-        tree = self._tree
-        prefix = 0
-        i = prev
-        while i > 0:
-            prefix += tree[i]
-            i -= i & -i
-        return len(self._last) - prefix
-
-    def _compact(self) -> None:
-        """Renumber live lines 1..M in recency order; resize the tree.
-
-        Amortized cost: a compaction of M live lines is paid for by the
-        >= M accesses that filled the timeline since the previous one.
-        """
-        order = sorted(self._last, key=self._last.__getitem__)
-        live = len(order)
-        capacity = _MIN_CAPACITY
-        while capacity < 2 * live:
-            capacity *= 2
-        tree = [0] * (capacity + 1)
-        last = {}
-        for position, line in enumerate(order, start=1):
-            last[line] = position
-            # Point update; building all-ones incrementally is O(M log M),
-            # dominated by the sort above.
-            i = position
-            while i <= capacity:
-                tree[i] += 1
-                i += i & -i
-        self._tree = tree
-        self._capacity = capacity
-        self._time = live
-        self._last = last
+    ``lines`` is the sequence of cache-line ids touched, in trace
+    order.  Entry ``i`` of the result is :data:`COLD` for the first
+    touch of a line, otherwise the number of distinct other lines
+    touched since the previous reference to the same line.  Positions
+    and counts are held in 32 bits, so a trace of ``2**31`` or more
+    references is refused with ``ValueError``.
+    """
+    lines = np.asarray(lines, dtype=np.int64)
+    n = lines.size
+    if n >= 1 << 31:
+        raise ValueError(f"{n} references; at most 2**31 - 1 are supported")
+    # Sort the references by line, in trace order within a line: the
+    # (line group, position) keys are unique, so a plain sort orders
+    # them.  Columns are freed as soon as they are spent, and counts
+    # are int32, to keep the peak to a few words per reference.
+    order = np.argsort(lines)
+    ordered = lines[order]
+    same = ordered[1:] == ordered[:-1]
+    del ordered
+    key = np.zeros(n, dtype=np.int64)
+    np.cumsum(~same, out=key[1:])
+    key *= n
+    key += order
+    del order
+    key.sort()
+    key %= n
+    # Each reuse (``later``) and the previous reference to its line.
+    later = key[1:][same]
+    earlier = key[:-1][same]
+    del key, same
+    m = later.size
+    if not m:
+        return np.full(n, COLD, dtype=np.int64)
+    reused = np.zeros(n, dtype=bool)
+    reused[later] = True
+    # Reuses are numbered in trace order.
+    number = np.cumsum(reused, dtype=np.int32)
+    number -= 1
+    pair_number = number[later]
+    later -= earlier
+    later -= 1
+    window = np.empty(m, dtype=np.int32)
+    window[pair_number] = later
+    del later
+    number.fill(-1)
+    number[earlier] = pair_number
+    del earlier, pair_number
+    # Reuse numbers in start order, padded with the numbers m..size-1
+    # (they start after every real reuse) to a power of two, so every
+    # row of every level below holds as many 0 bits as 1 bits.  One
+    # word per reuse: its number above bit 32, and below it the count
+    # of reuses with a smaller number and an earlier start found so
+    # far (at most m, far below 2**32).
+    levels = (m - 1).bit_length()
+    size = 1 << levels
+    half = size >> 1
+    column = np.empty(size, dtype=np.int64)
+    column[:m] = number[number >= 0]
+    del number
+    column[m:] = np.arange(m, size)
+    column <<= _NUMBER
+    partitioned = np.empty_like(column)
+    ranks = np.arange(half, dtype=np.int32)
+    for level in range(levels - 1, -1, -1):
+        # Rows of 2**(level+1) positions hold the reuses that share the
+        # number bits above ``level``, in start order.  A reuse with a
+        # 1 bit here counts the 0 bits before it in its row; the stable
+        # partition (0s first) then splits every row in two.
+        bit = (column & (1 << (_NUMBER + level))) != 0
+        ones = np.flatnonzero(bit)
+        zeros = np.flatnonzero(np.logical_not(bit, out=bit))
+        del bit
+        np.take(column, zeros, out=partitioned[:half], mode="clip")
+        np.take(column, ones, out=partitioned[half:], mode="clip")
+        # ``ones - ranks`` 0s precede each 1 in the column, and each
+        # earlier row holds 2**level of them.
+        np.right_shift(ones, level + 1, out=zeros)
+        np.left_shift(zeros, level, out=zeros)
+        ones -= zeros
+        ones -= ranks
+        partitioned[half:] += ones
+        del zeros, ones
+        column, partitioned = partitioned, column
+    np.right_shift(column, _NUMBER, out=partitioned)
+    column &= (1 << _NUMBER) - 1
+    earlier_starts = np.empty(size, dtype=np.int32)
+    earlier_starts[partitioned] = column
+    del column, partitioned
+    # d = window - nested, nested = k - earlier_starts[k].
+    window -= np.arange(m, dtype=np.int32)
+    window += earlier_starts[:m]
+    distances = np.full(n, COLD, dtype=np.int64)
+    distances[reused] = window
+    return distances

@@ -8,11 +8,13 @@ so its validation and threading are covered here too.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.analytic.predict import predict_benchmark
 from repro.cli import main
 from repro.hwopt.policy import DEFAULT_MISS_FLOOR, compare_policies
+from repro.locality.mrc import DistanceHistogram
 from repro.locality.profile import LocalityProfile, RegionProfile
 from repro.workloads.base import TINY
 
@@ -65,13 +67,10 @@ class TestPredictBenchmark:
 
 class TestPolicyMissFloor:
     def _profile(self, miss_ratio_region):
-        region = RegionProfile(0, True, 0)
         # 10 refs at distance 1000 (misses at 128) per miss unit.
         misses = int(miss_ratio_region * 100)
-        for _ in range(misses):
-            region.histogram.record(1000)
-        for _ in range(100 - misses):
-            region.histogram.record(0)
+        distances = np.array([1000] * misses + [0] * (100 - misses))
+        region = RegionProfile(0, True, 0, DistanceHistogram.of(distances))
         return LocalityProfile("synthetic", 32, [region])
 
     def test_floor_masks_low_miss_regions(self):

@@ -1,11 +1,12 @@
-"""Pin the engine-backed analysis helpers to the legacy implementations.
+"""Pin the bucketed stack-distance histogram to the legacy implementation.
 
-``reuse_distance_histogram`` was reimplemented on the Fenwick-indexed
-LRU stack of :mod:`repro.locality`; this module keeps a copy of the
-original O(N·M) OrderedDict implementation as ground truth and checks
+The bucketed reuse histogram is now ``distance_histogram(...).bucketed``
+over the numpy stack-distance kernel of :mod:`repro.locality`; this
+module keeps a copy of the original O(N·M) OrderedDict implementation
+as a second, independent oracle of that kernel and checks
 label-for-label equality on real benchmark traces and adversarial
-synthetic streams.  ``profile_trace`` gained a packed columnar path;
-both paths must produce identical profiles.
+synthetic streams.  ``profile_trace`` has a packed columnar path; both
+paths must produce identical profiles.
 """
 
 import random
@@ -13,13 +14,21 @@ from collections import OrderedDict
 
 import pytest
 
-from repro.isa.analysis import profile_trace, reuse_distance_histogram
 from repro.isa.trace import TraceBuilder
+from repro.locality.mrc import distance_histogram
 from repro.tracegen.interpreter import TraceGenerator
 from repro.workloads.base import TINY
 from repro.workloads.registry import get_spec
+from tests.isa.trace_profile import profile_trace
 
 BENCHMARKS = ("perl", "swim", "tpcd_q1")
+
+
+def reuse_distance_histogram(
+    trace, line_size=32, buckets=(16, 64, 256, 1024)
+):
+    """The kernel's bucketed histogram, under the legacy signature."""
+    return distance_histogram(trace, line_size).bucketed(buckets)
 
 
 def legacy_reuse_distance_histogram(

@@ -1,30 +1,11 @@
-"""Unit tests for the Fenwick-indexed Mattson LRU stack."""
+"""Unit tests for the oracle's Fenwick-indexed Mattson LRU stack."""
 
 import random
-from collections import OrderedDict
 
 import pytest
 
-from repro.locality.stack import COLD, ReuseStackEngine
-
-
-def reference_distances(lines):
-    """O(N·M) OrderedDict stack — the pre-engine ground truth."""
-    stack: OrderedDict[int, None] = OrderedDict()
-    out = []
-    for line in lines:
-        if line in stack:
-            distance = 0
-            for key in reversed(stack):
-                if key == line:
-                    break
-                distance += 1
-            out.append(distance)
-            stack.move_to_end(line)
-        else:
-            out.append(COLD)
-            stack[line] = None
-    return out
+from repro.locality.stack import COLD
+from tests.locality.oracle import ReuseStackEngine, lru_distances
 
 
 class TestReuseStackEngine:
@@ -58,7 +39,7 @@ class TestReuseStackEngine:
         rng = random.Random(seed)
         lines = [rng.randrange(200) for _ in range(3000)]
         engine = ReuseStackEngine()
-        assert [engine.access(x) for x in lines] == reference_distances(
+        assert [engine.access(x) for x in lines] == lru_distances(
             lines
         )
 
@@ -68,7 +49,7 @@ class TestReuseStackEngine:
         # > 8 compactions of a 1024-slot timeline, skewed reuse.
         lines = [int(rng.paretovariate(1.1)) % 500 for _ in range(10000)]
         engine = ReuseStackEngine()
-        assert [engine.access(x) for x in lines] == reference_distances(
+        assert [engine.access(x) for x in lines] == lru_distances(
             lines
         )
         assert engine.live_lines == len(set(lines))

@@ -13,11 +13,19 @@ from repro.compiler.ir.refs import (
     ScalarRef,
 )
 from repro.compiler.regions.markers import insert_markers
-from repro.isa.analysis import profile_trace, reuse_distance_histogram
 from repro.isa.trace import TraceBuilder
+from repro.locality.mrc import distance_histogram
 from repro.tracegen.interpreter import TraceGenerator
 from repro.workloads.base import TINY
 from repro.workloads.registry import get_spec
+from tests.isa.trace_profile import profile_trace
+
+#: The legacy reuse-histogram buckets, in stack-distance lines.
+BUCKETS = (16, 64, 256, 1024)
+
+
+def reuse_distance_histogram(trace):
+    return distance_histogram(trace).bucketed(BUCKETS)
 
 
 class TestPrettyPrinter:
