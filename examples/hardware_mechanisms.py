@@ -16,6 +16,8 @@ Run:  python examples/hardware_mechanisms.py [benchmark]
 
 import sys
 
+from column_assoc import ColumnAssociativeCache
+
 from repro import TINY, base_config, get_spec
 from repro.core.experiment import simulate_trace
 from repro.hwopt.prefetch import StreamBufferAssist
@@ -23,7 +25,6 @@ from repro.cpu.pipeline import CPUSimulator
 from repro.hwopt.gate import HardwareGate
 from repro.isa import Opcode
 from repro.memory.cache import SetAssociativeCache
-from repro.memory.column import ColumnAssociativeCache
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.params import CacheParams
 from repro.tracegen import TraceGenerator

@@ -56,7 +56,7 @@ from repro.core.parallel import (
     run_benchmark_parallel,
 )
 from repro.core.runner import SuiteResult, run_suite
-from repro.core.runstore import RunStore
+from repro.core.runstore import RunStore, to_plain
 from repro.core.versions import prepare_codes
 from repro.evaluation.figures import FIGURES, figure_series
 from repro.evaluation.locality import locality_rows
@@ -744,7 +744,6 @@ def _cmd_locality(
     as_json: bool,
     miss_floor: float,
 ) -> int:
-    import dataclasses
     import json
 
     names = benchmarks or None
@@ -758,9 +757,7 @@ def _cmd_locality(
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if as_json:
-        print(json.dumps(
-            [dataclasses.asdict(row) for row in rows], indent=2
-        ))
+        print(json.dumps(to_plain(rows), indent=2))
     else:
         print(render_locality(rows))
     return 0

@@ -34,7 +34,6 @@ local checkpoint, not a portable artifact.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -54,6 +53,7 @@ __all__ = [
     "ScrubReport",
     "StoreStats",
     "StoredEntry",
+    "to_plain",
     "trace_checksum",
 ]
 
@@ -62,6 +62,33 @@ STORE_FORMAT = 2
 
 _MAGIC = b"repro-runstore v1\n"
 _SUFFIX = ".cell"
+
+
+def to_plain(value: Any) -> Any:
+    """``value`` with every dataclass turned into a dict of its fields.
+
+    Equal to the standard library's ``asdict`` on the plain data that
+    results, keys and documents hold (dataclasses, lists, tuples and
+    dicts over ``str``/``int``/``float``/``bool``/``None`` leaves), but
+    leaves are shared rather than deep-copied, and a scalar field costs
+    no call: ``asdict`` was the largest cost of a warm service hit.
+    """
+    fields = getattr(type(value), "__dataclass_fields__", None)
+    if fields is not None:
+        plain = {}
+        for name in fields:
+            item = getattr(value, name)
+            plain[name] = (
+                item if isinstance(item, (str, int, float)) else to_plain(item)
+            )
+        return plain
+    if isinstance(value, list):
+        return [to_plain(item) for item in value]
+    if isinstance(value, tuple):
+        return tuple(map(to_plain, value))
+    if isinstance(value, dict):
+        return {to_plain(key): to_plain(item) for key, item in value.items()}
+    return value
 
 
 def trace_checksum(trace: AnyTrace) -> str:
@@ -203,8 +230,8 @@ class RunStore:
             "kind": kind,
             "benchmark": benchmark,
             "config": config,
-            "scale": dataclasses.asdict(scale),
-            "machine": dataclasses.asdict(machine),
+            "scale": to_plain(scale),
+            "machine": to_plain(machine),
             "mechanisms": list(mechanisms),
             "classify_misses": bool(classify_misses),
             "digests": list(digests),

@@ -10,7 +10,6 @@ optimizers of :mod:`repro.hwopt` (cache bypassing, victim caches) attach.
 from repro.memory.assist import AssistInterface, FillDecision
 from repro.memory.block import CacheBlock
 from repro.memory.cache import SetAssociativeCache
-from repro.memory.column import ColumnAssociativeCache
 from repro.memory.dram import MainMemory
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.stats import CacheStats, HierarchySnapshot
@@ -21,7 +20,6 @@ __all__ = [
     "AssistInterface",
     "CacheBlock",
     "CacheStats",
-    "ColumnAssociativeCache",
     "FillDecision",
     "HierarchySnapshot",
     "MainMemory",

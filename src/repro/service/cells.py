@@ -23,7 +23,6 @@ byte-identical JSON for the same key.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass
 from typing import Any, Iterable
@@ -31,7 +30,7 @@ from typing import Any, Iterable
 from repro.core.experiment import BenchmarkRun, expected_version_keys
 from repro.core.parallel import CellFailure, task_factory
 from repro.core.runner import _run_cell
-from repro.core.runstore import RunStore
+from repro.core.runstore import RunStore, to_plain
 from repro.core.sweep import SweepResult
 from repro.core.versions import MECHANISMS, PREFETCH
 from repro.evaluation.locality import LocalityRow, _locality_cell
@@ -76,10 +75,7 @@ def run_to_json(run: BenchmarkRun) -> dict:
         "benchmark": run.benchmark,
         "category": run.category,
         "machine": run.machine_name,
-        "results": {
-            key: dataclasses.asdict(result)
-            for key, result in run.results.items()
-        },
+        "results": to_plain(run.results),
         "improvements": {
             key: run.improvement(key)
             for key in run.version_keys()
@@ -139,10 +135,8 @@ def _profile_cell(task):
         "version": profile.version,
         "config": config_name,
         "interval": interval,
-        "result": dataclasses.asdict(profile.result),
-        "regions": [
-            dataclasses.asdict(region) for region in profile.regions
-        ],
+        "result": to_plain(profile.result),
+        "regions": to_plain(profile.regions),
         "consistent": profile.consistent(),
         "rendered": render_profile(profile),
         "trace_events": telemetry_trace_events(
@@ -279,7 +273,7 @@ class CellSpec:
         if self.kind == "cell":
             return run_to_json(payload)
         if self.kind in ("table2", "locality"):
-            return dataclasses.asdict(payload)
+            return to_plain(payload)
         if self.kind == "profile":
             return {
                 key: value

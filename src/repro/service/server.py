@@ -411,7 +411,8 @@ class SweepService:
     # admission control
 
     def pending_jobs(self) -> int:
-        return sum(1 for job in self.jobs.values() if not job.done)
+        """Jobs admitted and not yet finished, summed over clients."""
+        return sum(self._client_inflight.values())
 
     def _all_warm(self, request: JobRequest) -> bool:
         """Can every cell of ``request`` be served from the store now?

@@ -1,11 +1,14 @@
-"""Tests for the column-associative cache extension."""
+"""Tests for the column-associative cache extension.
+
+The cache lives beside its one user, ``examples/hardware_mechanisms.py``.
+"""
 
 import random
 
 import pytest
 
+from examples.column_assoc import ColumnAssociativeCache
 from repro.memory.cache import SetAssociativeCache
-from repro.memory.column import ColumnAssociativeCache
 from repro.params import CacheParams
 
 

@@ -21,6 +21,7 @@ the kill path itself is what keeps the suite fast.
 
 from __future__ import annotations
 
+import asyncio
 import time
 
 import pytest
@@ -217,6 +218,94 @@ class TestAdmissionControl:
             assert alice.metrics()["shed_client_cap"] == 1
             alice.cancel(held["id"])
             assert alice.wait(held["id"], timeout=60)["state"] == "cancelled"
+
+
+def _scan_and_count(background) -> tuple[int, int]:
+    """(old O(jobs) scan, ``pending_jobs()``), read together on the
+    service loop so no job can change state in between."""
+    service = background.service
+
+    async def read() -> tuple[int, int]:
+        scan = sum(not job.done for job in service.jobs.values())
+        return scan, service.pending_jobs()
+
+    return asyncio.run_coroutine_threadsafe(
+        read(), background._loop
+    ).result(timeout=30)
+
+
+class TestAdmissionCount:
+    """``pending_jobs`` sums the per-client in-flight counts; the scan
+    over every job it replaced is the oracle, and ``/v1/status`` and
+    ``/v1/readyz`` must report the same number after every kind of
+    transition."""
+
+    def test_counts_match_the_job_scan(self, tmp_path):
+        config = ServiceConfig(
+            store=tmp_path / "store",
+            jobs=2,
+            scale=TINY,
+            max_pending=2,
+            breaker_threshold=1,
+            breaker_cooldown=600.0,
+        )
+        with BackgroundServer(config) as background:
+            client = ServiceClient("127.0.0.1", background.port)
+
+            def check(expected: int) -> None:
+                scan, counted = _scan_and_count(background)
+                assert (scan, counted) == (expected, expected)
+                assert client.status()["admission"]["pending"] == expected
+                assert client.readyz()[1]["pending"] == expected
+
+            try:
+                check(0)
+                held = client.submit(_hang_body())  # submit
+                _wait_cell_running(client, held["id"])
+                check(1)
+                cold = client.run(_body(WARM_BENCHMARK), timeout=240)
+                assert cold["cells"][0]["source"] == "scheduler"
+                check(1)  # cold finish
+                warm = client.run(_body(WARM_BENCHMARK), timeout=120)
+                assert warm["cells"][0]["source"] == "store"
+                check(1)  # warm finish
+                # Other mechanisms than ``held``'s, so neither job coalesces
+                # onto its in-flight cell.
+                second = client.submit(_hang_body(mechanisms=["victim"]))
+                _wait_cell_running(client, second["id"])
+                check(2)
+                with pytest.raises(ServiceError) as excinfo:
+                    client.submit(_body(WARM_BENCHMARK))
+                assert excinfo.value.status == 429
+                check(2)  # overload shed
+                client.cancel(second["id"])
+                assert client.wait(second["id"], timeout=60)["state"] == (
+                    "cancelled"
+                )
+                check(1)  # DELETE cancel
+                expiring = client.submit(
+                    _hang_body(mechanisms=["prefetch"], deadline=1.0)
+                )
+                assert client.wait(expiring["id"], timeout=60)["state"] == (
+                    "cancelled"
+                )
+                check(1)  # deadline cancel
+                tripped = client.run(
+                    _body("swim", faults="exit:swim:*", retries=0),
+                    timeout=240,
+                )
+                assert tripped["state"] == "failed"
+                check(1)  # failed finish
+                with pytest.raises(ServiceError) as excinfo:
+                    client.submit(_body("mgrid"))
+                assert excinfo.value.status == 503
+                check(1)  # breaker shed
+                summary = background.drain(budget=0.5)
+                assert summary["cancelled"] == 1
+                check(0)  # drain
+            finally:
+                # A failed check must not leave an hour-long hang behind.
+                background.drain(budget=0.5)
 
 
 class TestDrain:

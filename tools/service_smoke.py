@@ -8,7 +8,11 @@ port, then drives it over HTTP with the stdlib client:
 2. the **same** job again — must be served from the run store with no
    scheduler involvement, and its result document must be
    **bit-identical** to the cold one;
-3. a **fault-injected** job (worker killed on every attempt) — must
+3. a two-benchmark **sweep**, cold and then warm — every warm cell
+   must come from the store, the warm document (``summary`` averages
+   included) must be bit-identical to the cold one, and
+   ``/v1/status`` must report no pending job once both are done;
+4. a **fault-injected** job (worker killed on every attempt) — must
    degrade to a structured failed job while the server keeps
    answering.
 
@@ -34,6 +38,12 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.service.client import ServiceClient  # noqa: E402
 
 BODY = {"kind": "simulate", "benchmark": "vpenta", "mechanisms": ["bypass"]}
+SWEEP = {
+    "kind": "sweep",
+    "benchmarks": ["tpcd_q3", "compress"],
+    "configs": ["Base Confg.", "Higher Mem. Lat."],
+    "mechanisms": ["bypass"],
+}
 
 
 def _fail(message: str) -> None:
@@ -114,6 +124,27 @@ def main() -> int:
                 "store hit confirmed"
             )
 
+            sweep_cold = client.run(SWEEP, timeout=600)
+            if sweep_cold["state"] != "done":
+                _fail(f"cold sweep ended {sweep_cold['state']}")
+            sweep_bytes = client.result_bytes(sweep_cold["id"])
+            sweep_warm = client.run(SWEEP, timeout=600)
+            sources = [cell["source"] for cell in sweep_warm["cells"]]
+            if sources != ["store"] * 4:
+                _fail(f"warm sweep cell sources {sources}")
+            if client.result_bytes(sweep_warm["id"]) != sweep_bytes:
+                _fail("warm sweep is not bit-identical to the cold sweep")
+            summary = client.result(sweep_warm["id"])["summary"]
+            if sorted(summary) != sorted(SWEEP["configs"]):
+                _fail(f"sweep summary covers {sorted(summary)}")
+            pending = client.status()["admission"]["pending"]
+            if pending != 0:
+                _fail(f"{pending} jobs pending after both sweeps finished")
+            print(
+                f"warm {len(sources)}-cell sweep bit-identical to its cold "
+                "run, summary included; no job pending"
+            )
+
             faulted = client.run(
                 {**BODY, "benchmark": "adi", "faults": "exit:adi:*",
                  "retries": 1},
@@ -124,7 +155,7 @@ def main() -> int:
             failure = client.result(faulted["id"])["failures"][0]
             if failure["kind"] != "crash":
                 _fail(f"failure kind {failure['kind']!r}")
-            if client.status()["jobs"]["total"] != 3:
+            if client.status()["jobs"]["total"] != 5:
                 _fail("server lost track of jobs after the fault")
             print(
                 "fault-injected job degraded to structured failure "
