@@ -30,8 +30,7 @@ from repro.compiler.ir.program import Program
 from repro.hwopt.policy import (
     DEFAULT_MISS_FLOOR,
     GatingComparison,
-    GatingRecommendation,
-    check_miss_floor,
+    gate_regions,
 )
 from repro.params import MachineParams
 
@@ -57,30 +56,22 @@ def analytic_gating_for_program(
     in place); ``model`` lets callers reuse an existing
     :class:`LocalityModel` instead of rebuilding one.
     """
-    if cache_lines <= 0:
-        raise ValueError("cache_lines must be positive")
-    check_miss_floor(miss_floor)
     model = model or LocalityModel(program, line_size)
-    if threshold is None:
-        program_ratio = model.miss_ratio(cache_lines)
-        threshold = max(program_ratio, miss_floor)
-    recommendations = []
-    for region in model.occupied_regions():
-        ratio = region.curve().miss_ratio(cache_lines)
-        recommendations.append(
-            GatingRecommendation(
-                region_index=region.index,
-                compiler_on=region.gate_on,
-                model_on=ratio >= threshold,
-                miss_ratio=ratio,
-                memory_refs=region.memory_refs,
+    return gate_regions(
+        f"{program.name}/analytic",
+        cache_lines,
+        (
+            (
+                region.index,
+                region.gate_on,
+                region.curve().miss_ratio(cache_lines),
+                region.memory_refs,
             )
-        )
-    return GatingComparison(
-        trace_name=f"{program.name}/analytic",
-        cache_lines=cache_lines,
-        threshold=threshold,
-        recommendations=tuple(recommendations),
+            for region in model.occupied_regions()
+        ),
+        lambda: model.miss_ratio(cache_lines),
+        threshold,
+        miss_floor,
     )
 
 

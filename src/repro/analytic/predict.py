@@ -9,6 +9,10 @@ and report the predicted miss-ratio curve, the per-region gating
 verdicts, and the tiling decisions the optimizer took.  No trace is
 generated and nothing is simulated; this is the O(milliseconds) path
 that ``repro predict`` and ``POST /v1/predict`` expose.
+
+Only the gating verdicts depend on ``threshold`` and ``miss_floor``,
+so :func:`regate_prediction` answers another threshold or floor from
+one payload, without running the model again.
 """
 
 from __future__ import annotations
@@ -18,13 +22,17 @@ from typing import Optional
 
 from repro.analytic.gating import analytic_gating_for_program
 from repro.analytic.model import LocalityModel
-from repro.hwopt.policy import DEFAULT_MISS_FLOOR
+from repro.hwopt.policy import (
+    DEFAULT_MISS_FLOOR,
+    GatingComparison,
+    gate_regions,
+)
 from repro.locality.mrc import MissRatioCurve
 from repro.params import MachineParams, base_config
 from repro.workloads.base import Scale
 from repro.workloads.registry import get_spec
 
-__all__ = ["predict_benchmark"]
+__all__ = ["predict_benchmark", "regate_prediction"]
 
 
 def _curve_points(
@@ -97,6 +105,60 @@ def predict_benchmark(
         "memory_refs": curve.total,
         "miss_ratio": curve.miss_ratio(cache_lines),
         "mrc": _curve_points(curve, cache_lines),
+        **_verdicts(comparison),
+        "tilings": [
+            {
+                "applied": tiling.applied,
+                "tile_size": tiling.tile_size,
+                "tiled_vars": list(tiling.tiled_vars),
+                "reason": tiling.reason,
+            }
+            for tiling in report.tilings
+        ],
+        "elapsed_ms": elapsed_ms,
+    }
+
+
+def regate_prediction(
+    prediction: dict,
+    threshold: Optional[float] = None,
+    miss_floor: float = DEFAULT_MISS_FLOOR,
+) -> dict:
+    """``prediction`` gated again at ``threshold`` / ``miss_floor``.
+
+    Equal to :func:`predict_benchmark` run with these arguments: the
+    curve, the tilings and every region's miss ratio do not depend on
+    them, so the gating rule is applied to the payload's own ratios
+    (``miss_ratio`` is the program's).  ``elapsed_ms`` stays that of
+    the model run behind ``prediction``.
+    """
+    comparison = gate_regions(
+        f"{prediction['benchmark']}/analytic",
+        prediction["cache_lines"],
+        (
+            (
+                region["index"],
+                region["compiler_on"],
+                region["miss_ratio"],
+                region["memory_refs"],
+            )
+            for region in prediction["regions"]
+        ),
+        lambda: prediction["miss_ratio"],
+        threshold,
+        miss_floor,
+    )
+    return {
+        **prediction,
+        "miss_floor": miss_floor,
+        "threshold": comparison.threshold,
+        **_verdicts(comparison),
+    }
+
+
+def _verdicts(comparison: GatingComparison) -> dict:
+    """The payload fields that the gating threshold decides."""
+    return {
         "regions": [
             {
                 "index": rec.region_index,
@@ -109,14 +171,4 @@ def predict_benchmark(
         ],
         "model_on_regions": comparison.model_on_regions,
         "compiler_on_regions": comparison.compiler_on_regions,
-        "tilings": [
-            {
-                "applied": tiling.applied,
-                "tile_size": tiling.tile_size,
-                "tiled_vars": list(tiling.tiled_vars),
-                "reason": tiling.reason,
-            }
-            for tiling in report.tilings
-        ],
-        "elapsed_ms": elapsed_ms,
     }

@@ -60,6 +60,7 @@ __all__ = [
     "CellAttempt",
     "CellFailure",
     "GridValue",
+    "POLL_SECONDS",
     "SweepInterrupted",
     "execute_cell",
     "resolve_jobs",
@@ -73,7 +74,7 @@ DEFAULT_RETRIES = 2
 DEFAULT_BACKOFF = 0.25
 _BACKOFF_CAP = 5.0
 #: Upper bound on one worker poll, so deadlines and cancels are prompt.
-_POLL_SECONDS = 0.5
+POLL_SECONDS = 0.5
 
 
 def resolve_jobs(jobs: Optional[int], default: Optional[int] = None) -> int:
@@ -337,7 +338,7 @@ def _await_worker(proc, conn, timeout, cancel) -> tuple[str, Any]:
     deadline = time.monotonic() + timeout if timeout is not None else None
     try:
         while True:
-            wait_for = _POLL_SECONDS
+            wait_for = POLL_SECONDS
             if deadline is not None:
                 wait_for = min(wait_for, max(0.0, deadline - time.monotonic()))
             if _connection_wait([conn], timeout=wait_for):

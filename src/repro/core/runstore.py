@@ -205,6 +205,10 @@ class RunStore:
     def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        #: (scale, machine) → their plain key identities.  Keyed by
+        #: value (both are frozen), so it holds one entry per scaled
+        #: machine the store's callers use.
+        self._identities: dict[tuple[Scale, MachineParams], tuple] = {}
 
     def __repr__(self) -> str:
         return f"RunStore({str(self.root)!r})"
@@ -225,13 +229,19 @@ class RunStore:
         digests: Iterable[str] = (),
     ) -> str:
         """Deterministic content-addressed key for one grid cell."""
+        plain = self._identities.get((scale, machine))
+        if plain is None:
+            plain = self._identities[scale, machine] = (
+                to_plain(scale),
+                to_plain(machine),
+            )
         identity = {
             "format": STORE_FORMAT,
             "kind": kind,
             "benchmark": benchmark,
             "config": config,
-            "scale": to_plain(scale),
-            "machine": to_plain(machine),
+            "scale": plain[0],
+            "machine": plain[1],
             "mechanisms": list(mechanisms),
             "classify_misses": bool(classify_misses),
             "digests": list(digests),

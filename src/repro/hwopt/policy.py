@@ -21,7 +21,7 @@ analogue of a model-vs-heuristic ablation figure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
 from repro.isa.packed import AnyTrace
 from repro.locality.profile import LocalityProfile, split_profiles
@@ -33,6 +33,7 @@ __all__ = [
     "GatingComparison",
     "check_miss_floor",
     "compare_policies",
+    "gate_regions",
     "recommend_gating",
 ]
 
@@ -109,6 +110,45 @@ class GatingComparison:
         return agree / total
 
 
+def gate_regions(
+    trace_name: str,
+    cache_lines: int,
+    regions: Iterable[tuple[int, bool, float, int]],
+    program_ratio: Callable[[], float],
+    threshold: Optional[float] = None,
+    miss_floor: float = DEFAULT_MISS_FLOOR,
+) -> GatingComparison:
+    """The MRC gating rule over per-region miss ratios.
+
+    ``regions`` yields ``(index, compiler_on, miss_ratio, memory_refs)``
+    for each region that issues memory references.  A region is ON
+    where its miss ratio is at or above ``threshold``; ``None`` uses
+    ``max(program_ratio(), miss_floor)``, and ``program_ratio`` is only
+    called then.  The trace-driven, analytic and served predictions
+    all gate through here.
+    """
+    if cache_lines <= 0:
+        raise ValueError("cache_lines must be positive")
+    check_miss_floor(miss_floor)
+    if threshold is None:
+        threshold = max(program_ratio(), miss_floor)
+    return GatingComparison(
+        trace_name=trace_name,
+        cache_lines=cache_lines,
+        threshold=threshold,
+        recommendations=tuple(
+            GatingRecommendation(
+                region_index=index,
+                compiler_on=compiler_on,
+                model_on=ratio >= threshold,
+                miss_ratio=ratio,
+                memory_refs=refs,
+            )
+            for index, compiler_on, ratio, refs in regions
+        ),
+    )
+
+
 def compare_policies(
     profile: LocalityProfile,
     cache_lines: int,
@@ -128,31 +168,21 @@ def compare_policies(
     regions that issue memory references participate — an empty span
     between back-to-back markers has no locality to judge.
     """
-    if cache_lines <= 0:
-        raise ValueError("cache_lines must be positive")
-    check_miss_floor(miss_floor)
-    if threshold is None:
-        trace_ratio = profile.total_histogram().curve().miss_ratio(
-            cache_lines
-        )
-        threshold = max(trace_ratio, miss_floor)
-    recommendations = []
-    for region in profile.occupied_regions():
-        ratio = region.curve().miss_ratio(cache_lines)
-        recommendations.append(
-            GatingRecommendation(
-                region_index=region.index,
-                compiler_on=region.gate_on,
-                model_on=ratio >= threshold,
-                miss_ratio=ratio,
-                memory_refs=region.memory_refs,
+    return gate_regions(
+        profile.trace_name,
+        cache_lines,
+        (
+            (
+                region.index,
+                region.gate_on,
+                region.curve().miss_ratio(cache_lines),
+                region.memory_refs,
             )
-        )
-    return GatingComparison(
-        trace_name=profile.trace_name,
-        cache_lines=cache_lines,
-        threshold=threshold,
-        recommendations=tuple(recommendations),
+            for region in profile.occupied_regions()
+        ),
+        lambda: profile.total_histogram().curve().miss_ratio(cache_lines),
+        threshold,
+        miss_floor,
     )
 
 

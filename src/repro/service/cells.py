@@ -37,12 +37,13 @@ from repro.evaluation.locality import LocalityRow, _locality_cell
 from repro.evaluation.table2 import Table2Row, _table2_cell
 from repro.evaluation.table3 import TABLE3_COLUMNS
 from repro.hwopt.policy import DEFAULT_MISS_FLOOR
-from repro.params import SENSITIVITY_CONFIGS, MachineParams, base_config
+from repro.params import SENSITIVITY_CONFIGS, MachineParams
 from repro.workloads.base import MEDIUM, SMALL, TINY, Scale
 from repro.workloads.registry import all_specs, get_spec
 
 __all__ = [
     "JOB_KINDS",
+    "MACHINES",
     "SCALES",
     "CellSpec",
     "JobRequest",
@@ -53,6 +54,15 @@ __all__ = [
 ]
 
 SCALES = {"tiny": TINY, "small": SMALL, "medium": MEDIUM}
+
+#: (config, scale name) → the scaled machine every cell of that pair
+#: shares.  ``MachineParams`` is frozen, so sharing one is safe, and a
+#: request costs a lookup rather than a rebuild.
+MACHINES = {
+    (config, name): make().scaled(scale.machine_divisor)
+    for config, make in SENSITIVITY_CONFIGS.items()
+    for name, scale in SCALES.items()
+}
 
 JOB_KINDS = ("simulate", "sweep", "table2", "locality", "profile")
 
@@ -401,9 +411,7 @@ def decompose(body: dict, default_scale: Scale) -> JobRequest:
         )
         for benchmark in benchmarks:
             for config in configs:
-                machine = SENSITIVITY_CONFIGS[config]().scaled(
-                    scale.machine_divisor
-                )
+                machine = MACHINES[config, scale.name]
                 specs.append(
                     CellSpec(
                         kind="cell",
@@ -418,7 +426,7 @@ def decompose(body: dict, default_scale: Scale) -> JobRequest:
                 )
     elif kind in ("table2", "locality"):
         benchmarks = _benchmarks(body)
-        machine = base_config().scaled(scale.machine_divisor)
+        machine = MACHINES["Base Confg.", scale.name]
         params.update(benchmarks=benchmarks, config=machine.name)
         for benchmark in benchmarks:
             specs.append(
@@ -448,7 +456,7 @@ def decompose(body: dict, default_scale: Scale) -> JobRequest:
         interval = body.get("interval", 1000)
         if not is_integer(interval) or interval < 0:
             raise ValueError(f"interval must be an integer >= 0, got {interval!r}")
-        machine = SENSITIVITY_CONFIGS[config]().scaled(scale.machine_divisor)
+        machine = MACHINES[config, scale.name]
         params.update(
             benchmark=benchmark,
             config=config,

@@ -58,8 +58,9 @@ accepting) and reports the breaker state.
 with the *analytic* locality model (:mod:`repro.analytic`) — a
 predicted MRC, per-region gating, and tile choices computed straight
 from the IR in milliseconds — so it responds synchronously, runs no
-simulation, and touches no store cell.  Payloads are single-flighted
-and cached per (benchmark, scale, threshold, miss_floor).
+simulation, and touches no store cell.  The model runs once per
+(benchmark, scale), single-flighted; every ``threshold`` and
+``miss_floor`` is answered by re-gating that analysis.
 """
 
 from __future__ import annotations
@@ -76,10 +77,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional, Union
 
+from repro.analytic.predict import predict_benchmark, regate_prediction
 from repro.core.faults import FaultPlan, corrupt_stored_entry
 from repro.core.parallel import (
     DEFAULT_BACKOFF,
     DEFAULT_RETRIES,
+    POLL_SECONDS,
     CellAttempt,
     CellFailure,
     execute_cell,
@@ -89,8 +92,8 @@ from repro.core.runner import _slim_codes
 from repro.core.runstore import RunStore, trace_checksum
 from repro.core.versions import prepare_codes
 from repro.hwopt.policy import DEFAULT_MISS_FLOOR
-from repro.params import base_config
 from repro.service.cells import (
+    MACHINES,
     SCALES,
     CellSpec,
     JobRequest,
@@ -354,9 +357,10 @@ class SweepService:
         #: (benchmark, scale.name) → (slimmed codes, trace digests).
         self._prep_cache: dict[tuple[str, str], tuple] = {}
         self._prep_inflight: dict[tuple[str, str], asyncio.Future] = {}
-        #: (benchmark, scale, threshold, miss_floor) → analytic payload.
-        self._predict_cache: dict[tuple, dict] = {}
-        self._predict_inflight: dict[tuple, asyncio.Future] = {}
+        #: (benchmark, scale.name) → analytic payload at the default
+        #: gating, which every request re-gates.
+        self._analyses: dict[tuple[str, str], dict] = {}
+        self._analysis_inflight: dict[tuple[str, str], asyncio.Future] = {}
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -673,7 +677,7 @@ class SweepService:
             if existing is not None:
                 self.metrics["coalesced"] += 1
                 job.cell_event(cell, "running", source="coalesced")
-                value = await asyncio.shield(existing)
+                value = await self._leader_value(job, cell, existing)
                 if (
                     isinstance(value, CellFailure)
                     and value.kind == "cancelled"
@@ -739,6 +743,18 @@ class SweepService:
         else:
             job.cell_event(cell, "done")
         return value
+
+    async def _leader_value(
+        self, job: Job, cell: CellState, leader: asyncio.Future
+    ) -> Any:
+        """The value of the cell ``job`` coalesced onto, or a cancelled
+        failure within one poll period of ``job``'s own cancellation;
+        the leader runs on for its job either way."""
+        while not job.cancelling:
+            done, _ = await asyncio.wait((leader,), timeout=POLL_SECONDS)
+            if done:
+                return leader.result()
+        return self._cancelled_failure(cell)
 
     @staticmethod
     def _cancelled_failure(cell: CellState) -> CellFailure:
@@ -861,7 +877,7 @@ class SweepService:
             # before digesting — so keys match cells written by
             # ``repro table3 --store``.
             spec = get_spec(benchmark)
-            reference = base_config().scaled(scale.machine_divisor)
+            reference = MACHINES["Base Confg.", scale.name]
             codes = _slim_codes(prepare_codes(spec, scale, reference))
             digests = (
                 trace_checksum(codes.base_trace),
@@ -888,13 +904,12 @@ class SweepService:
     async def predict(self, body: dict) -> dict:
         """Closed-form locality prediction for one benchmark.
 
-        Runs :func:`repro.analytic.predict.predict_benchmark` in the
-        executor — milliseconds of model evaluation, no simulation, no
-        store cell.  Single-flight per (benchmark, scale, threshold,
-        miss_floor): concurrent duplicates await the first build, and
-        completed payloads are cached (the model is deterministic, so
-        repeats are dictionary lookups; ``elapsed_ms`` reports the
-        original computation).
+        The model runs once per (benchmark, scale), in the executor —
+        milliseconds of model evaluation, no simulation, no store cell
+        — and each request re-gates that analysis at its own
+        ``threshold`` and ``miss_floor``, which equals running
+        :func:`repro.analytic.predict.predict_benchmark` with them
+        (``elapsed_ms`` reports the analysis's original computation).
         """
         benchmark = body.get("benchmark")
         if not isinstance(benchmark, str) or not benchmark:
@@ -905,7 +920,6 @@ class SweepService:
                 f"unknown scale {scale_name!r}; "
                 f"known: {', '.join(sorted(SCALES))}"
             )
-        scale = SCALES[scale_name]
         threshold = body.get("threshold")
         if threshold is not None and not is_number(threshold):
             raise _BadRequest(
@@ -916,12 +930,18 @@ class SweepService:
             raise _BadRequest(
                 f"miss_floor must be a ratio in [0, 1], got {miss_floor!r}"
             )
+        analysis = await self._analysis(benchmark, SCALES[scale_name])
+        return regate_prediction(analysis, threshold, miss_floor)
 
-        key = (benchmark, scale_name, threshold, float(miss_floor))
-        cached = self._predict_cache.get(key)
+    async def _analysis(self, benchmark: str, scale: Scale) -> dict:
+        """The default-gated prediction, built once per (benchmark,
+        scale): concurrent duplicates await the first build, and a
+        failed build is not kept."""
+        key = (benchmark, scale.name)
+        cached = self._analyses.get(key)
         if cached is not None:
             return cached
-        pending = self._predict_inflight.get(key)
+        pending = self._analysis_inflight.get(key)
         if pending is not None:
             status, value = await asyncio.shield(pending)
             if status == "bad":
@@ -931,32 +951,23 @@ class SweepService:
             return value
 
         pending = self._loop.create_future()
-        self._predict_inflight[key] = pending
-
-        def build() -> dict:
-            from repro.analytic.predict import predict_benchmark
-
-            return predict_benchmark(
-                benchmark,
-                scale,
-                threshold=threshold,
-                miss_floor=miss_floor,
-            )
-
+        self._analysis_inflight[key] = pending
         try:
             self.metrics["predicts"] += 1
-            value = await self._loop.run_in_executor(self._executor, build)
-        except (KeyError, ValueError) as exc:
-            self._predict_inflight.pop(key, None)
+            value = await self._loop.run_in_executor(
+                self._executor, predict_benchmark, benchmark, scale
+            )
+        except KeyError as exc:
+            self._analysis_inflight.pop(key, None)
             message = str(exc.args[0] if exc.args else exc)
             pending.set_result(("bad", message))
             raise _BadRequest(message) from None
         except Exception as exc:  # noqa: BLE001 - waiters fail too
-            self._predict_inflight.pop(key, None)
+            self._analysis_inflight.pop(key, None)
             pending.set_result(("error", f"{type(exc).__name__}: {exc}"))
             raise
-        self._predict_cache[key] = value
-        self._predict_inflight.pop(key, None)
+        self._analyses[key] = value
+        self._analysis_inflight.pop(key, None)
         pending.set_result(("ok", value))
         return value
 

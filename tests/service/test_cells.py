@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.parallel import CellFailure
-from repro.params import SENSITIVITY_CONFIGS
+from repro.core.runstore import RunStore
+from repro.params import SENSITIVITY_CONFIGS, base_config
 from repro.service.cells import (
+    MACHINES,
+    SCALES,
     aggregate_result,
     canonical_json,
     decompose,
@@ -135,6 +140,55 @@ class TestDecompose:
             TINY,
         ).specs[0]
         assert tiny.store_key(store) != small.store_key(store)
+
+
+class TestSharedMachines:
+    """Every request shares one scaled machine per (config, scale)."""
+
+    @pytest.mark.parametrize("scale", SCALES.values(), ids=list(SCALES))
+    def test_table_equals_fresh_scaling(self, scale):
+        divisor = scale.machine_divisor
+        for config, make in SENSITIVITY_CONFIGS.items():
+            assert MACHINES[config, scale.name] == make().scaled(divisor)
+        assert MACHINES["Base Confg.", scale.name] == (
+            base_config().scaled(divisor)
+        )
+        assert len(MACHINES) == len(SENSITIVITY_CONFIGS) * len(SCALES)
+
+    def test_shared_machines_are_frozen(self):
+        machine = MACHINES["Base Confg.", "tiny"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            machine.mem_latency = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            machine.l1d.size = 1
+
+    def test_decompose_hands_out_table_machines(self):
+        sweep = decompose({"kind": "sweep", "scale": "small"}, TINY)
+        for spec in sweep.specs:
+            assert spec.machine is MACHINES[spec.config, "small"]
+        for kind in ("table2", "locality"):
+            (spec, *_) = decompose({"kind": kind}, TINY).specs
+            assert spec.machine is MACHINES["Base Confg.", "tiny"]
+        (spec,) = decompose(
+            {"kind": "profile", "benchmark": "vpenta", "config": "Larger L1 Size"},
+            TINY,
+        ).specs
+        assert spec.machine is MACHINES["Larger L1 Size", "tiny"]
+
+    @pytest.mark.parametrize("scale", SCALES.values(), ids=list(SCALES))
+    def test_keys_from_shared_and_fresh_machines_agree(self, tmp_path, scale):
+        store = RunStore(tmp_path)
+        for config, make in SENSITIVITY_CONFIGS.items():
+            fresh = make().scaled(scale.machine_divisor)
+            shared = MACHINES[config, scale.name]
+            for machine in (shared, fresh, shared):
+                assert store.cell_key(
+                    "cell", "vpenta", config, scale=scale, machine=machine,
+                    mechanisms=("bypass",), digests=("d",),
+                ) == store.cell_key(
+                    "cell", "vpenta", config, scale=scale, machine=fresh,
+                    mechanisms=("bypass",), digests=("d",),
+                )
 
 
 class TestCanonicalJson:

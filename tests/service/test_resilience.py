@@ -308,6 +308,48 @@ class TestAdmissionCount:
                 background.drain(budget=0.5)
 
 
+class TestCoalescedCancel:
+    """A job whose cell waits on another job's in-flight cell is
+    cancelled on its own: it does not wait for the leader's cell, it
+    gives back its admission slot, and the leader keeps running."""
+
+    def test_cancel_does_not_wait_for_the_leader(self, tmp_path):
+        config = ServiceConfig(store=tmp_path / "store", jobs=2, scale=TINY)
+        with BackgroundServer(config) as background:
+            client = ServiceClient("127.0.0.1", background.port)
+
+            def follow(**extra) -> dict:
+                job = client.submit(_hang_body(**extra))
+                doc = _wait_cell_running(client, job["id"])
+                assert doc["cells"][0]["source"] == "coalesced"
+                return job
+
+            try:
+                leader = client.submit(_hang_body())
+                _wait_cell_running(client, leader["id"])
+                follower = follow()
+                assert client.status()["admission"]["pending"] == 2
+                client.cancel(follower["id"])  # DELETE
+                started = time.monotonic()
+                final = client.wait(follower["id"], timeout=30)
+                # One poll period is 0.5 s; the leader's hang is an hour.
+                assert time.monotonic() - started < 5.0
+                assert final["state"] == "cancelled"
+                assert final["cells"][0]["state"] == "cancelled"
+                assert client.status()["admission"]["pending"] == 1
+                assert client.job(leader["id"])["state"] == "running"
+
+                expiring = follow(deadline=1.5)  # deadline
+                final = client.wait(expiring["id"], timeout=30)
+                assert final["state"] == "cancelled"
+                assert "deadline" in final["cancel_reason"]
+                assert client.status()["admission"]["pending"] == 1
+                assert client.job(leader["id"])["state"] == "running"
+            finally:
+                # A failed check must not leave an hour-long hang behind.
+                background.drain(budget=0.5)
+
+
 class TestDrain:
     def test_drain_stops_admission_and_cancels_stragglers(self, tmp_path):
         config = ServiceConfig(

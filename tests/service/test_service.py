@@ -284,12 +284,19 @@ class TestPredictEndpoint:
         assert all(entry["kind"] != "predict" for entry in listing)
 
     def test_repeat_predictions_cached_and_identical(self, client):
+        """``predicts`` counts model builds: one per (benchmark,
+        scale), however many floors and thresholds it then answers.
+        No other test here predicts at SMALL, so the first call
+        builds."""
         before = client.metrics()["predicts"]
-        first = client.predict(WARM_BENCHMARK, miss_floor=0.3)
-        second = client.predict(WARM_BENCHMARK, miss_floor=0.3)
-        after = client.metrics()["predicts"]
+        first = client.predict(WARM_BENCHMARK, scale="small", miss_floor=0.3)
+        assert client.metrics()["predicts"] == before + 1
+        second = client.predict(WARM_BENCHMARK, scale="small", miss_floor=0.3)
         assert first == second
-        assert after == before + 1  # one model build served both
+        client.predict(WARM_BENCHMARK, scale="small", miss_floor=0.65)
+        client.predict(WARM_BENCHMARK, scale="small", threshold=0.1)
+        client.predict(WARM_BENCHMARK, scale="small")
+        assert client.metrics()["predicts"] == before + 1
 
     def test_predict_validation_is_400(self, client):
         for body in (

@@ -14,8 +14,9 @@ The runs are full-size: ``--quick`` runs 6 cold cells and 40
 predictions, and on a 2-vCPU Xeon its ratio spread over 68-201x (3 of
 8 runs under budget) where full runs read 134-200x (13 of 13).
 
-Nine in ten served predictions are answered from the server's predict
-cache, so the served median mostly times HTTP and a lookup.  The check
+The server runs the model once per benchmark and scale and re-gates
+that analysis for every later request, new floors included, so the
+served median mostly times HTTP, a lookup and the re-gating.  The check
 therefore also reports an uncached leg beside it: in-process
 ``predict_benchmark`` on vpenta at TINY, best of 3, against the same
 cold cell.  That leg is reported, not gated.

@@ -9,11 +9,14 @@ client:
    with a well-formed payload: monotone sampled MRC, per-region gating
    verdicts, tiling report;
 2. the **same** prediction again — must be served from the in-process
-   cache (the ``predicts`` metric moves by exactly one for the pair)
-   and be identical to the first answer;
-3. a **policy** prediction with ``miss_floor=1.0`` — every region must
+   cache (the ``predicts`` metric, which counts model builds, moves by
+   exactly one for the pair) and be identical to the first answer;
+3. a **fresh floor** — re-gates the cached analysis: ``predicts`` does
+   not move, and the payload equals an in-process
+   ``predict_benchmark`` at that floor (``elapsed_ms`` aside);
+4. a **policy** prediction with ``miss_floor=1.0`` — every region must
    gate off;
-4. **bad requests** (unknown benchmark, bad scale, out-of-range
+5. **bad requests** (unknown benchmark, bad scale, out-of-range
    floor) — all 400, and the server keeps serving afterwards.
 
 Exit status 0 only if every claim holds.
@@ -35,9 +38,13 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.analytic.predict import predict_benchmark  # noqa: E402
 from repro.service.client import ServiceClient, ServiceError  # noqa: E402
+from repro.workloads.base import TINY  # noqa: E402
 
 BENCHMARK = "tpcd_q1"
+#: A floor no earlier step sends.
+FRESH_FLOOR = 0.37
 
 
 def _fail(message: str) -> None:
@@ -125,6 +132,23 @@ def main() -> int:
                 )
             print(
                 f"repeat served from cache in {second_s:.4f}s, identical"
+            )
+
+            fresh = client.predict(BENCHMARK, miss_floor=FRESH_FLOOR)
+            if client.metrics()["predicts"] != 1:
+                _fail("a fresh miss_floor ran the model again")
+            expected = predict_benchmark(
+                BENCHMARK, TINY, miss_floor=FRESH_FLOOR
+            )
+            fresh.pop("elapsed_ms")
+            expected.pop("elapsed_ms")
+            if fresh != expected:
+                _fail(
+                    f"miss_floor={FRESH_FLOOR} differs from predict_benchmark"
+                )
+            print(
+                f"miss_floor={FRESH_FLOOR} re-gated without a model build, "
+                "equal to predict_benchmark"
             )
 
             strict = client.predict(BENCHMARK, miss_floor=1.0)
