@@ -6,8 +6,9 @@ caches); Section 1.1 also lists hardware prefetching and
 column-associative caches among the candidate techniques.  This example
 runs all of them side by side:
 
-* the three `AssistInterface` mechanisms (bypass, victim, stream-buffer
-  prefetch) on a benchmark's base code, and
+* the three run-time assists — bypassing (a fill placer), victim
+  caches and stream-buffer prefetch (miss-stream filters) — on a
+  benchmark's base code, and
 * the column-associative L1 organization versus direct-mapped and
   2-way, replayed on the same address stream.
 
@@ -20,12 +21,8 @@ from column_assoc import ColumnAssociativeCache
 
 from repro import TINY, base_config, get_spec
 from repro.core.experiment import simulate_trace
-from repro.hwopt.prefetch import StreamBufferAssist
-from repro.cpu.pipeline import CPUSimulator
-from repro.hwopt.gate import HardwareGate
 from repro.isa import Opcode
 from repro.memory.cache import SetAssociativeCache
-from repro.memory.hierarchy import MemoryHierarchy
 from repro.params import CacheParams
 from repro.tracegen import TraceGenerator
 
@@ -39,13 +36,7 @@ def assists_comparison(trace, machine):
         result = simulate_trace(trace, machine, mechanism=name)
         print(f"  {name:<16}{result.cycles:>12,} cycles "
               f"({result.improvement_over(plain):+6.2f}%)")
-    # The stream-buffer extension is not in the paper's mechanism list,
-    # so it is wired manually rather than through make_assist.
-    assist = StreamBufferAssist(machine)
-    hierarchy = MemoryHierarchy(machine, assist)
-    result = CPUSimulator(machine, hierarchy, HardwareGate(assist)).run(
-        trace
-    )
+    result = simulate_trace(trace, machine, mechanism="prefetch")
     print(f"  {'stream-prefetch':<16}{result.cycles:>12,} cycles "
           f"({result.improvement_over(plain):+6.2f}%, "
           f"{result.memory.assist_hits:,} buffer hits)")

@@ -3,8 +3,9 @@ Improving Cache Behavior" (DATE 2003).
 
 The package implements the paper's full stack from scratch:
 
-* a multi-level cache/TLB/DRAM substrate with hardware-assist hook
-  points (:mod:`repro.memory`);
+* a multi-level cache/TLB/DRAM substrate to which a hardware assist
+  attaches as a fill placer or a miss-stream filter
+  (:mod:`repro.memory`);
 * the two run-time locality mechanisms — MAT/SLDT cache bypassing and
   victim caching — gateable by activate/deactivate instructions
   (:mod:`repro.hwopt`);

@@ -57,16 +57,18 @@ has no data access and its fetch never consults the assist, so which
 side of its own toggle it falls on does not matter.  Most of the
 machine ignores the gate: the TLBs, L1I, L2 and the branch predictor
 replay once over the whole trace, and so does L1D without an assist
-and with victim caches.  A victim hit swaps the line back into L1 with
-the same ``fill`` an L2 fill would do (and an L2 victim hit does the
-same ``l2.fill`` as a DRAM fill), so L1 and L2 tag and LRU state never
-depend on the victim caches; they run as sequential filters over each
-level's miss and eviction stream, probed only by the accesses the mask
-lets through.  Bypassing (and the stream-buffer extension) changes
-what L1 holds, but its MAT, SLDT and buffer never read L2, the TLBs,
-the predictor or time, and L2 never feeds back into them: only the
-L1D lookups run in record order, with the assist's hooks on the
-accesses the mask lets through, and the rest of the run stays in bulk.
+and with a miss-stream filter.  A victim hit swaps the line back into
+L1 with the same ``fill`` an L2 fill would do (and an L2 victim hit
+does the same ``l2.fill`` as a DRAM fill), and a stream-buffer hit
+installs the line as an L2 fill would, so L1 and L2 tag and LRU state
+never depend on victim caches or stream buffers; they run as
+sequential filters over the miss stream, probed only by the accesses
+the mask lets through.  Bypassing, the fill placer, changes what L1
+holds, but its MAT, SLDT and buffer never read L2, the TLBs, the
+predictor or time, and L2 never feeds back into them: only the L1D
+lookups of the accesses the mask lets through run in record order,
+through the assist's fused ``filter_l1``, and the rest of the run
+stays in bulk.
 
 **The marker rule.**  Each marker ends the segment it sits in, and the
 gate toggles after that segment's fold, with ``telemetry.now`` and

@@ -31,18 +31,17 @@ segment runs in two phases:
 After the fold the segment's markers toggle the gate in order.
 
 Assist runs are exact in bulk too (see
-``MemoryHierarchy.bulk_classify``).  A victim-cache hit refills L1 (or
-L2) with the same fill as the next level would, so the per-set replays
-stand and the victim caches run as filters over the miss stream,
-probed by the misses whose gate is on.  An assist that decides L1
-placement itself (bypassing, stream buffers) never reads L2, the TLBs
+``MemoryHierarchy.bulk_classify``), in the two shapes of
+:mod:`repro.memory.assist`.  A miss-stream filter (victim caches,
+stream buffers) serves a miss with the same fill, and the same dirty
+bit, as the next level would, so the per-set replays stand and the
+assist runs over the miss stream in record order, probed by the misses
+whose gate is on.  A fill placer (bypassing) never reads L2, the TLBs
 or time, so only its L1 half runs in record order, through the
-assist's ``filter_l1``, which calls the hooks for the accesses whose
-gate is on and does a plain L1 lookup and fill for the rest; L2 and
-the timing stay in bulk.  Stream buffers take the default, which
-drives the live assist's hooks (``repro.memory.bulk.filter_assist``).
-The bypass assist runs one fused loop with its MAT, SLDT, buffer and
-fill rule inline; its scalar hooks are that loop's oracle.
+assist's ``filter_l1`` (one fused loop with its MAT, SLDT, buffer and
+fill rule inline) for the accesses whose gate is on, and a plain L1
+replay for the rest; L2 and the timing stay in bulk.  The per-access
+hooks of ``tests/cpu/oracle.py`` are the reference of both.
 
 The replay reads no timing field.  A run without telemetry leaves its
 whole-trace replay on the simulator as ``CPUSimulator.replay``, and

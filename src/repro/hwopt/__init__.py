@@ -1,15 +1,19 @@
 """Run-time hardware cache-locality optimizers (paper Section 3.1).
 
-Two mechanisms, both attachable to the memory hierarchy through
-:class:`repro.memory.assist.AssistInterface` and both gateable by the
-compiler-inserted activate/deactivate (ON/OFF) instructions:
+Each attaches to the memory hierarchy through
+:class:`repro.memory.assist.AssistInterface`, in one of its two shapes,
+and each is gateable by the compiler-inserted activate/deactivate
+(ON/OFF) instructions:
 
-* :class:`CacheBypassAssist` — Johnson & Hwu's selective caching: a
-  Memory Access Table (MAT) tracks per-macro-block access frequencies,
-  a Spatial Locality Detection Table (SLDT) detects spatial reuse, and
-  rarely-accessed data is diverted into a small fully associative
-  bypass buffer instead of polluting L1.
-* :class:`VictimCacheAssist` — Jouppi-style victim caches on L1 and L2.
+* :class:`CacheBypassAssist` — Johnson & Hwu's selective caching, a
+  *fill placer*: a Memory Access Table (MAT) tracks per-macro-block
+  access frequencies, a Spatial Locality Detection Table (SLDT) detects
+  spatial reuse, and rarely-accessed data is diverted into a small
+  fully associative bypass buffer instead of polluting L1.
+* :class:`VictimCacheAssist` — Jouppi-style victim caches on L1 and L2,
+  a *miss-stream filter*.
+* :class:`StreamBufferAssist` — Jouppi's stream buffers (an extension
+  beyond the paper's two), also a miss-stream filter.
 
 :mod:`repro.hwopt.policy` adds a *model-driven* gating policy: per-region
 miss-ratio curves (:mod:`repro.locality`) decide where the gated assist

@@ -6,12 +6,14 @@ brings in only the double word demanded, not the whole line.  That makes
 the buffer cheap but gives it a very small reach — which is exactly why
 bypassing spatially-regular data is a bad idea and why the paper's
 selective scheme turns the mechanism off in compiler-optimized regions.
+The bypass assist's record-order L1 filter
+(:meth:`repro.hwopt.controller.CacheBypassAssist.filter_l1`) probes and
+fills it inline.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional
 
 __all__ = ["BypassBuffer"]
 
@@ -33,42 +35,3 @@ class BypassBuffer:
 
     def __len__(self) -> int:
         return len(self._words)
-
-    def lookup(self, addr: int, is_write: bool = False) -> bool:
-        """Probe for the double word holding ``addr``; update LRU on hit."""
-        dword = addr >> self.WORD_SHIFT
-        if dword in self._words:
-            self._words.move_to_end(dword)
-            if is_write:
-                self._words[dword] = True
-            self.hits += 1
-            return True
-        self.misses += 1
-        return False
-
-    def insert(self, addr: int, dirty: bool = False) -> Optional[int]:
-        """Add the double word holding ``addr``.
-
-        Returns the byte address of a displaced *dirty* double word (the
-        caller must write it back), or None.
-        """
-        dword = addr >> self.WORD_SHIFT
-        if dword in self._words:
-            self._words[dword] = self._words[dword] or dirty
-            self._words.move_to_end(dword)
-            return None
-        displaced_addr: Optional[int] = None
-        if len(self._words) >= self.capacity:
-            old_dword, old_dirty = self._words.popitem(last=False)
-            if old_dirty:
-                displaced_addr = old_dword << self.WORD_SHIFT
-        self._words[dword] = dirty
-        self.insertions += 1
-        return displaced_addr
-
-    def contains(self, addr: int) -> bool:
-        """Presence check without statistics (tests)."""
-        return (addr >> self.WORD_SHIFT) in self._words
-
-    def flush(self) -> None:
-        self._words.clear()

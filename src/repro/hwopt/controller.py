@@ -2,37 +2,35 @@
 
 :class:`CacheBypassAssist` implements Johnson & Hwu's run-time adaptive
 selective caching (paper Section 3.1): MAT frequency tracking, SLDT
-spatial-locality detection and a double-word bypass buffer.
-:class:`VictimCacheAssist` implements Jouppi victim caches at L1 and
-L2.  Either one attaches to
-:class:`repro.memory.hierarchy.MemoryHierarchy` and is switched on/off
-at region boundaries by the activate/deactivate instructions.
+spatial-locality detection and a double-word bypass buffer.  It is a
+fill placer (:mod:`repro.memory.assist`).  :class:`VictimCacheAssist`
+implements Jouppi victim caches at L1 and L2, a miss-stream filter.
+Either one attaches to :class:`repro.memory.hierarchy.MemoryHierarchy`
+and is switched on/off at region boundaries by the activate/deactivate
+instructions.
 """
 
 from __future__ import annotations
 
 from array import array
 from itertools import count
-from typing import Optional
+
+import numpy as np
 
 from repro.hwopt.bypass import BypassBuffer
 from repro.hwopt.mat import MemoryAccessTable
 from repro.hwopt.sldt import SpatialLocalityDetector
-from repro.memory.assist import (
-    ASSIST_HIT_CYCLES,
-    AssistInterface,
-    FillDecision,
-    ServeResult,
+from repro.memory.assist import AssistInterface
+from repro.memory.bulk import (
+    CHUNK,
+    commit_filter,
+    filter_victims,
+    working_lrus,
 )
-from repro.memory.block import CacheBlock
-from repro.memory.bulk import CHUNK, commit_filter, working_lrus
 from repro.memory.victim import VictimCache
 from repro.params import MachineParams
 
 __all__ = ["CacheBypassAssist", "VictimCacheAssist"]
-
-_CACHE_NORMALLY = FillDecision(cache_in_l1=True)
-_BYPASS = FillDecision(cache_in_l1=False)
 
 #: Sentinel distinguishing "absent" from any stored dirty flag.
 _MISS = object()
@@ -43,17 +41,25 @@ class CacheBypassAssist(AssistInterface):
 
     Decision rule on an L1 miss (Section 3.1 / [8, 9]):
 
-    1. If the line that a fill would displace belongs to a markedly
-       hotter macro-block (MAT frequency ratio) *and* that victim is
-       not itself part of a detected stream, the incoming line is
-       bypassed: L1 keeps the more valuable resident line and the
-       demanded data goes to the double-word bypass buffer.
+    1. If the line that a fill would displace belongs to a macro-block
+       that is hot in absolute terms (``min_victim_freq``) and markedly
+       hotter than the incoming one (MAT frequency ratio), *and* that
+       victim is not itself part of a detected stream, the incoming
+       line is bypassed: L1 keeps the more valuable resident line and
+       the demanded data goes to the double-word bypass buffer.  A
+       stream's macro-block racks up a high access count while it
+       passes through, but each of its lines is touched once and is
+       worthless to protect; without these guards the frequency
+       comparison systematically sacrifices small hot structures
+       (hash tables) to protect dead lines.
     2. An incoming line whose own macro-block shows spatial locality
        (SLDT) is never bypassed: the double-word buffer would forfeit
        its near-term reuse.  So only the demanded double word of a
        non-spatial line ever enters the buffer.
     3. Otherwise the line is cached normally.
     """
+
+    places_fills = True
 
     def __init__(self, machine: MachineParams):
         self.enabled = True
@@ -67,79 +73,20 @@ class CacheBypassAssist(AssistInterface):
         self._hits = 0
         self._bypassed = 0
 
-    # -- AssistInterface ------------------------------------------------
-
-    def note_access(self, addr: int, is_write: bool, l1_hit: bool) -> None:
-        self.mat.record(addr)
-        self.sldt.observe(addr)
-
-    def lookup_alternate(
-        self, addr: int, line: int, is_write: bool = False
-    ) -> Optional[ServeResult]:
-        if self.buffer.lookup(addr, is_write):
-            self._hits += 1
-            # Served in place from the buffer: one extra cycle, nothing
-            # promoted into L1.
-            return (ASSIST_HIT_CYCLES, None)
-        return None
-
-    def fill_decision(
-        self, addr: int, victim_line: Optional[int]
-    ) -> FillDecision:
-        if victim_line is None or self.sldt.expects_spatial(addr):
-            # Free way, or spatially-reused incoming data (streams,
-            # dense sweeps): always cache.  Bypassing a stream into the
-            # tiny double-word buffer forfeits its guaranteed near-term
-            # reuse.
-            return _CACHE_NORMALLY
-        # Bypass only on strong evidence: the resident line's macro-block
-        # must be hot in absolute terms and markedly hotter (ratio from
-        # BypassParams) than the incoming one, and must not itself be
-        # streaming — a stream's macro-block racks up a high access
-        # count while it passes through, but each of its lines is
-        # touched once and is worthless to protect.  Without these
-        # guards the frequency comparison systematically sacrifices
-        # small hot structures (hash tables) to protect dead lines.
-        params = self.machine.bypass
-        victim_addr = victim_line * self._line_size
-        victim_freq = self.mat.frequency(victim_addr)
-        if victim_freq < params.min_victim_freq:
-            return _CACHE_NORMALLY
-        incoming_freq = self.mat.frequency(addr)
-        if (
-            incoming_freq < victim_freq * params.bypass_ratio
-            and not self.sldt.expects_spatial(victim_addr)
-        ):
-            return _BYPASS
-        return _CACHE_NORMALLY
-
-    def accept_bypassed(
-        self, addr: int, block: CacheBlock
-    ) -> Optional[CacheBlock]:
-        """Buffer the demanded double word of a bypassed line."""
-        self._bypassed += 1
-        displaced_dirty = self.buffer.insert(addr, block.dirty)
-        if displaced_dirty is None:
-            return None
-        # A dirty double word leaves the buffer: hand the hierarchy a
-        # line-granularity record so it can route the writeback.
-        return CacheBlock(displaced_dirty // self._line_size, dirty=True)
-
     def filter_l1(self, cache, addrs, writes, track: bool = False):
-        """The record-order L1 filter of a gate-on bypass range, hooks
-        inlined.
+        """The record-order L1 filter of a gate-on bypass range.
 
-        Does what :func:`repro.memory.bulk.filter_assist` does with this
-        assist's hooks, and returns the same tuple, but in one loop
-        that holds the L1 sets, the MAT, the SLDT and the buffer in
-        locals.  Per access: the MAT count (``MemoryAccessTable.record``,
-        aging included), the SLDT update (``observe``, retiring and
-        judging the LRU entry when full) and the L1 lookup.  Per miss:
-        the buffer probe (``lookup_alternate``), the fill rule of
-        :meth:`fill_decision` read from the tables just updated, then
-        the buffer insert (``accept_bypassed``) or the L1 fill.  The
-        counters it keeps in locals are written back at the end.  The
-        hooks stay this loop's oracle.
+        One loop holds the L1 sets, the MAT, the SLDT and the buffer in
+        locals.  Per access: the MAT count of the access's macro-block
+        (halving every counter each ``age_interval`` accesses), the
+        SLDT update (move the line to MRU; a new line retires the LRU
+        entry of a full table and judges it) and the L1 lookup.  Per
+        miss: the buffer probe (a hit is served in place, L1
+        untouched), then the fill rule of the class docstring read from
+        the tables just updated, then the buffer insert or the L1 fill.
+        The counters it keeps in locals are written back at the end.
+        Its per-access reference is the hook-driven filter of the
+        simulator's oracle (``tests/cpu/oracle.py``).
         """
         mat, sldt, buffer = self.mat, self.sldt, self.buffer
         params = self.machine.bypass
@@ -238,7 +185,7 @@ class CacheBypassAssist(AssistInterface):
                 demand_append(i)
                 if len(lru) >= assoc:
                     victim = next(iter(lru))
-                    # fill_decision: the incoming line was just counted,
+                    # The fill rule: the incoming line was just counted,
                     # so its slot holds its macro-block.
                     victim_addr = victim * line_size
                     victim_mb = victim_addr >> mat_shift
@@ -255,8 +202,8 @@ class CacheBypassAssist(AssistInterface):
                         and spatial.get(victim_addr >> sldt_shift, 0)
                         < threshold
                     ):
-                        # accept_bypassed: the double word just missed
-                        # the buffer, so it enters as a new entry.
+                        # Bypassed: the double word just missed the
+                        # buffer, so it enters as a new entry.
                         if track:
                             bypassed.append(i)
                         if len(words) >= buffer_capacity:
@@ -293,15 +240,6 @@ class CacheBypassAssist(AssistInterface):
             cache, lrus, n, evictions, dirty_evictions, columns, track
         )
 
-    def on_l1_evict(self, block: CacheBlock) -> Optional[CacheBlock]:
-        return block  # bypassing does not capture evictions
-
-    def lookup_l2_alternate(self, line: int) -> Optional[CacheBlock]:
-        return None
-
-    def on_l2_evict(self, block: CacheBlock) -> Optional[CacheBlock]:
-        return block
-
     # -- counters --------------------------------------------------------
 
     @property
@@ -335,41 +273,24 @@ class VictimCacheAssist(AssistInterface):
         self.l1_victim = VictimCache(machine.victim.l1_entries, "L1victim")
         self.l2_victim = VictimCache(machine.victim.l2_entries, "L2victim")
 
-    # -- AssistInterface ------------------------------------------------
-
-    def note_access(self, addr: int, is_write: bool, l1_hit: bool) -> None:
-        pass  # victim caches react only to misses and evictions
-
-    def lookup_alternate(
-        self, addr: int, line: int, is_write: bool = False
-    ) -> Optional[ServeResult]:
-        block = self.l1_victim.extract(line)
-        if block is None:
-            return None
-        if is_write:
-            block.dirty = True
-        return (ASSIST_HIT_CYCLES, block)  # promote back into L1 (swap)
-
-    def fill_decision(
-        self, addr: int, victim_line: Optional[int]
-    ) -> FillDecision:
-        return _CACHE_NORMALLY
-
-    def accept_bypassed(
-        self, addr: int, block: CacheBlock
-    ) -> Optional[CacheBlock]:
-        # Never requested (fill_decision always caches); keep the block
-        # flowing so a misuse is at least harmless.
-        return block
-
-    def on_l1_evict(self, block: CacheBlock) -> Optional[CacheBlock]:
-        return self.l1_victim.insert(block)
-
-    def lookup_l2_alternate(self, line: int) -> Optional[CacheBlock]:
-        return self.l2_victim.extract(line)
-
-    def on_l2_evict(self, block: CacheBlock) -> Optional[CacheBlock]:
-        return self.l2_victim.insert(block)
+    def filter_misses(self, cache, lines, evicted, evicted_dirty, on, pos):
+        """Run the L1 victim cache over the misses
+        (:func:`repro.memory.bulk.filter_victims`): the misses whose
+        gate is on probe it and send it the line they evict; the dirty
+        lines it displaces, and those a miss with the gate off evicts,
+        are written back."""
+        hit, spill_idx, spill_lines, unprobed, grow = filter_victims(
+            self.l1_victim, cache, lines, evicted, evicted_dirty,
+            probe=on[pos],
+        )
+        occupancy = -hit.astype(np.int64)
+        occupancy[grow] += 1
+        return (
+            hit,
+            np.concatenate((spill_idx, unprobed)),
+            np.concatenate((spill_lines, evicted[unprobed])),
+            occupancy,
+        )
 
     @property
     def victim_caches(self) -> tuple[VictimCache, VictimCache]:

@@ -13,6 +13,10 @@ what makes the table's history *stale* across program phases — the exact
 effect the paper's selective ON/OFF scheme exploits: after a phase
 change, decisions are wrong "until this information is replaced"
 (Section 5.1).
+
+This class holds the table's state.  The bypass assist's record-order
+L1 filter (:meth:`repro.hwopt.controller.CacheBypassAssist.filter_l1`)
+counts, ages and reads it inline.
 """
 
 from __future__ import annotations
@@ -44,43 +48,3 @@ class MemoryAccessTable:
         self._counters = [0] * self._entries
         self._since_aging = 0
         self.replacements = 0
-
-    def macro_block_of(self, addr: int) -> int:
-        return addr >> self._mb_shift
-
-    def record(self, addr: int) -> None:
-        """Count one access to ``addr``'s macro-block."""
-        mb = addr >> self._mb_shift
-        slot = mb % self._entries
-        if self._tags[slot] == mb:
-            if self._counters[slot] < self.counter_max:
-                self._counters[slot] += 1
-        else:
-            # Tag replacement: the old macro-block's history is lost.
-            if self._tags[slot] != -1:
-                self.replacements += 1
-            self._tags[slot] = mb
-            self._counters[slot] = 1
-        self._since_aging += 1
-        if self._since_aging >= self.age_interval:
-            self._age()
-
-    def frequency(self, addr: int) -> int:
-        """Current counter for ``addr``'s macro-block (0 if untracked)."""
-        mb = addr >> self._mb_shift
-        slot = mb % self._entries
-        if self._tags[slot] == mb:
-            return self._counters[slot]
-        return 0
-
-    def _age(self) -> None:
-        """Halve every counter, forgetting old phases gradually."""
-        self._since_aging = 0
-        counters = self._counters
-        for i, value in enumerate(counters):
-            if value:
-                counters[i] = value >> 1
-
-    def occupancy(self) -> int:
-        """Number of slots holding a live tag (tests)."""
-        return sum(1 for t in self._tags if t != -1)

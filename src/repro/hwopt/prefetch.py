@@ -6,29 +6,28 @@ paper's Section 1.1 lists hardware prefetching among the candidate
 run-time techniques, and stream buffers are the era-appropriate
 implementation.  Each buffer prefetches a run of sequential lines after
 a miss; a later miss that hits a buffer head is served quickly and the
-buffer advances.  Plugs into the same
-:class:`~repro.memory.assist.AssistInterface`, so the selective ON/OFF
-framework gates it exactly like the bypass and victim mechanisms —
-useful for "what if the hardware were X" ablations.
+buffer advances.  Like the victim cache it is a miss-stream filter
+(:mod:`repro.memory.assist`): a buffer hit installs the line in L1 with
+the same dirty bit an L2 fill would give it, and a prefetch never
+touches L2's tags, so the buffers change only where a miss is served
+from.  The selective ON/OFF framework gates it exactly like the bypass
+and victim mechanisms — useful for "what if the hardware were X"
+ablations.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
+from operator import attrgetter
 
-from repro.memory.assist import (
-    ASSIST_HIT_CYCLES,
-    AssistInterface,
-    FillDecision,
-    ServeResult,
-)
-from repro.memory.block import CacheBlock
+import numpy as np
+
+from repro.memory.assist import AssistInterface
 from repro.params import MachineParams
 
 __all__ = ["StreamBufferAssist"]
 
-_CACHE_NORMALLY = FillDecision(cache_in_l1=True)
+_LAST_USED = attrgetter("last_used")
 
 
 class _StreamBuffer:
@@ -67,6 +66,8 @@ class StreamBufferAssist(AssistInterface):
     A miss in all buffers reallocates the least-recently-used buffer to
     a new stream starting after the missing line.  Purely additive —
     like the victim cache it never bypasses or captures evictions.
+    Buffer recency is kept on a clock that ticks once per data access
+    made with the gate on.
     """
 
     def __init__(
@@ -85,44 +86,46 @@ class StreamBufferAssist(AssistInterface):
         self._hits = 0
         self._prefetched = 0
 
-    # -- AssistInterface ------------------------------------------------
+    def filter_misses(self, cache, lines, evicted, evicted_dirty, on, pos):
+        """Run the buffers over the misses whose gate is on, in order.
 
-    def note_access(self, addr: int, is_write: bool, l1_hit: bool) -> None:
-        self._clock += 1
+        Each such miss sees the clock after its own access's tick: the
+        clock at entry plus the accesses with the gate on up to and
+        including it.  A hit advances its buffer; a miss in all of them
+        restarts the least recently used one just past the missing
+        line, filling it from empty on its first use.  L1's evictions
+        are untouched, so every dirty one is written back.
+        """
+        ticks = np.cumsum(on)
+        probed = np.flatnonzero(on[pos])
+        clocks = (self._clock + ticks[pos[probed]]).tolist()
+        self._clock += int(ticks[-1])
+        buffers, depth = self._buffers, self._depth
+        hit_idx, grow_idx, grow = [], [], []
+        prefetched = self._prefetched
+        for i, line, clock in zip(
+            probed.tolist(), lines[probed].tolist(), clocks
+        ):
+            for buffer in buffers:
+                if buffer.lines and buffer.lines[0] == line:
+                    hit_idx.append(i)
+                    prefetched += buffer.advance(clock)
+                    break
+            else:
+                victim = min(buffers, key=_LAST_USED)
+                if len(victim.lines) < depth:
+                    grow_idx.append(i)
+                    grow.append(depth - len(victim.lines))
+                prefetched += victim.allocate(line + 1, depth, clock)
+        self._prefetched = prefetched
+        self._hits += len(hit_idx)
 
-    def lookup_alternate(
-        self, addr: int, line: int, is_write: bool = False
-    ) -> Optional[ServeResult]:
-        for buffer in self._buffers:
-            if buffer.lines and buffer.lines[0] == line:
-                self._hits += 1
-                self._prefetched += buffer.advance(self._clock)
-                return (ASSIST_HIT_CYCLES, CacheBlock(line, dirty=is_write))
-        # No buffer covers this stream: start one just past the miss.
-        victim = min(self._buffers, key=lambda b: b.last_used)
-        self._prefetched += victim.allocate(
-            line + 1, self._depth, self._clock
-        )
-        return None
-
-    def fill_decision(
-        self, addr: int, victim_line: Optional[int]
-    ) -> FillDecision:
-        return _CACHE_NORMALLY
-
-    def accept_bypassed(
-        self, addr: int, block: CacheBlock
-    ) -> Optional[CacheBlock]:
-        return block  # never requested
-
-    def on_l1_evict(self, block: CacheBlock) -> Optional[CacheBlock]:
-        return block
-
-    def lookup_l2_alternate(self, line: int) -> Optional[CacheBlock]:
-        return None
-
-    def on_l2_evict(self, block: CacheBlock) -> Optional[CacheBlock]:
-        return block
+        served = np.zeros(lines.size, dtype=bool)
+        served[hit_idx] = True
+        occupancy = np.zeros(lines.size, dtype=np.int64)
+        occupancy[grow_idx] = grow
+        wb_idx = np.flatnonzero(evicted_dirty)
+        return served, wb_idx, evicted[wb_idx], occupancy
 
     # -- counters --------------------------------------------------------
 

@@ -7,10 +7,13 @@ spatial locality (several distinct words touched) and updates a
 per-macro-block *spatial counter* — incremented on spatial evidence,
 decremented otherwise, saturating within the configured bounds.
 
-The cache-bypass controller consults :meth:`expects_spatial`:
-macro-blocks with a counter at or above the threshold are kept
-cacheable even when their access frequency alone would argue for
-bypassing, and a streaming victim is not protected.
+The cache-bypass controller treats a macro-block whose counter is at
+or above the threshold as spatial: such blocks are kept cacheable even
+when their access frequency alone would argue for bypassing, and a
+streaming victim is not protected.  This class holds the detector's
+state; the bypass assist's record-order L1 filter
+(:meth:`repro.hwopt.controller.CacheBypassAssist.filter_l1`) updates
+and reads it inline.
 """
 
 from __future__ import annotations
@@ -40,43 +43,3 @@ class SpatialLocalityDetector:
         self._spatial: dict[int, int] = {}
         self.spatial_promotions = 0
         self.spatial_demotions = 0
-
-    def observe(self, addr: int) -> None:
-        """Record one access; may retire the LRU entry and judge it."""
-        table = self._table
-        line = addr >> self._line_shift
-        words = table.pop(line, 0)  # never 0 for a live entry
-        if not words and len(table) >= self._capacity:
-            old_line = next(iter(table))
-            self._judge(old_line, table.pop(old_line))
-        table[line] = words | 1 << ((addr >> 3) & self._word_mask)
-
-    def spatial_quality(self, addr: int) -> int:
-        """Spatial counter of ``addr``'s macro-block (0 when unknown)."""
-        return self._spatial.get(addr >> self._mb_shift, 0)
-
-    def expects_spatial(self, addr: int) -> bool:
-        """True when the macro-block has shown enough spatial locality."""
-        spatial = self._spatial.get(addr >> self._mb_shift, 0)
-        return spatial >= self.params.spatial_threshold
-
-    def _judge(self, line: int, words: int) -> None:
-        """Classify a retiring SLDT entry and update the spatial counter."""
-        mb = (line << self._line_shift) >> self._mb_shift
-        counter = self._spatial.get(mb, 0)
-        if words & (words - 1):  # two or more words touched
-            if counter < self.params.spatial_counter_max:
-                counter += 1
-            self.spatial_promotions += 1
-        else:
-            if counter > self.params.spatial_counter_min:
-                counter -= 1
-            self.spatial_demotions += 1
-        self._spatial[mb] = counter
-
-    def flush_judgements(self) -> None:
-        """Retire every live entry (end-of-run bookkeeping, tests)."""
-        table = self._table
-        while table:
-            line = next(iter(table))
-            self._judge(line, table.pop(line))

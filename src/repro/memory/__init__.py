@@ -2,12 +2,13 @@
 
 This package implements the machine of the paper's Table 1: split 4-way
 L1 caches, a unified L2, data/instruction TLBs, and a fixed-latency main
-memory behind an 8-byte bus.  The hierarchy exposes hook points (see
-:mod:`repro.memory.assist`) through which the run-time hardware
-optimizers of :mod:`repro.hwopt` (cache bypassing, victim caches) attach.
+memory behind an 8-byte bus.  The run-time hardware optimizers of
+:mod:`repro.hwopt` attach to the hierarchy in one of the two shapes of
+:mod:`repro.memory.assist`: a fill placer (cache bypassing) or a
+miss-stream filter (victim caches, stream buffers).
 """
 
-from repro.memory.assist import AssistInterface, FillDecision
+from repro.memory.assist import AssistInterface
 from repro.memory.block import CacheBlock
 from repro.memory.cache import SetAssociativeCache
 from repro.memory.dram import MainMemory
@@ -20,7 +21,6 @@ __all__ = [
     "AssistInterface",
     "CacheBlock",
     "CacheStats",
-    "FillDecision",
     "HierarchySnapshot",
     "MainMemory",
     "MemoryHierarchy",

@@ -1,10 +1,24 @@
-"""Hook interface between the memory hierarchy and hardware assists.
+"""The two shapes of a hardware assist at the L1/L2 seam.
 
-The paper's hardware locality mechanisms (cache bypassing via MAT/SLDT,
-victim caches — Section 3.1) observe L1 traffic and interpose on misses
-and evictions.  :class:`repro.memory.hierarchy.MemoryHierarchy` calls the
-methods below at the corresponding points; the concrete mechanisms live
-in :mod:`repro.hwopt` and implement this interface.
+The paper's run-time mechanisms (cache bypassing via MAT/SLDT, victim
+caches — Section 3.1) and the stream-buffer extension either *place
+fills* or *serve misses*, and the hierarchy runs each shape its own
+way (:meth:`repro.memory.hierarchy.MemoryHierarchy.bulk_classify`):
+
+* A **fill placer** (bypassing) decides on each L1 miss whether the
+  line is installed in L1, so L1 no longer factorises over sets.  It
+  brings its own :meth:`AssistInterface.filter_l1`, a record-order
+  loop over the L1D accesses of each range with the gate on.
+* A **miss-stream filter** (victim caches, stream buffers) never
+  changes which lines L1 holds or their LRU order, only where a miss
+  is served from: a hit installs the line with the same fill, and the
+  same dirty bit, that a next-level fill would.  L1D is replayed per
+  set as with no assist, and its :meth:`AssistInterface.filter_misses`
+  runs over the misses in record order.
+
+A new mechanism brings one of the two, plus the per-access hooks that
+the simulator's oracle (``tests/cpu/oracle.py``) drives as its
+reference.
 
 The ``enabled`` flag is the paper's ON/OFF state: the compiler-inserted
 activate/deactivate instructions toggle it at run time
@@ -17,42 +31,17 @@ mechanism" (Section 4.1) — no probes, no updates, no insertions.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 from typing import Optional
 
-from repro.memory.block import CacheBlock
 from repro.memory.victim import VictimCache
 
-__all__ = [
-    "ASSIST_HIT_CYCLES",
-    "FillDecision",
-    "AssistInterface",
-    "ServeResult",
-]
-
-
-@dataclass(frozen=True)
-class FillDecision:
-    """What to do with a line arriving from the next level.
-
-    Attributes:
-        cache_in_l1: Install in L1 normally (True) or divert to the
-            assist's own buffer (False — a bypassed fill).
-    """
-
-    cache_in_l1: bool = True
-
-
-#: ``lookup_alternate`` outcome: (extra latency in cycles, block to
-#: promote into L1 — None when the data is served in place, as from the
-#: bypass buffer).
-ServeResult = tuple[int, Optional[CacheBlock]]
+__all__ = ["ASSIST_HIT_CYCLES", "AssistInterface"]
 
 #: The extra latency of every assist hit beyond the level it stands in
 #: for: an L1-side hit (victim cache, bypass buffer, stream buffer) over
 #: an L1 hit, and an L2 victim hit over an L2 hit.  The bulk replay
-#: records only that an access was assist-served, so every
-#: ``lookup_alternate`` hit must cost exactly this.
+#: records only that an access was assist-served, so every assist hit
+#: costs exactly this.
 ASSIST_HIT_CYCLES = 1
 
 
@@ -62,92 +51,59 @@ class AssistInterface(abc.ABC):
     #: ON/OFF state toggled by the activate/deactivate instructions.
     enabled: bool = True
 
-    @abc.abstractmethod
-    def note_access(self, addr: int, is_write: bool, l1_hit: bool) -> None:
-        """Observe every L1 data access (hit or miss)."""
-
-    @abc.abstractmethod
-    def lookup_alternate(
-        self, addr: int, line: int, is_write: bool = False
-    ) -> Optional[ServeResult]:
-        """Probe the assist's own storage on an L1 miss.
-
-        On a hit returns ``(extra_latency, promote_block)``: a victim
-        cache returns the block for promotion into L1 (a swap), while the
-        bypass buffer serves the data in place and returns ``None`` for
-        the block.  Returns ``None`` on an assist miss.  Both the byte
-        address and the L1 line number are supplied because the bypass
-        buffer tracks double words, not lines.
-        """
-
-    @abc.abstractmethod
-    def fill_decision(
-        self, addr: int, victim_line: Optional[int]
-    ) -> FillDecision:
-        """Decide whether a line fetched after a miss is installed in L1.
-
-        ``victim_line`` is the L1 line that a normal fill would displace
-        (None if the set has a free way) — the Johnson & Hwu rule bypasses
-        the incoming line when its macro-block is accessed less frequently
-        than the victim's.
-        """
-
-    @abc.abstractmethod
-    def accept_bypassed(
-        self, addr: int, block: CacheBlock
-    ) -> Optional[CacheBlock]:
-        """Store a line the fill decision diverted away from L1.
-
-        Returns any block displaced from assist storage (to be written
-        back if dirty).
-        """
-
-    @abc.abstractmethod
-    def on_l1_evict(self, block: CacheBlock) -> Optional[CacheBlock]:
-        """Observe an L1 eviction; may capture the block (victim cache).
-
-        Returns a displaced block, or the original block if the assist
-        does not capture evictions (the hierarchy then writes it back as
-        usual).
-        """
-
-    @abc.abstractmethod
-    def lookup_l2_alternate(self, line: int) -> Optional[CacheBlock]:
-        """Probe L2-side assist storage (L2 victim cache) on an L2 miss."""
-
-    @abc.abstractmethod
-    def on_l2_evict(self, block: CacheBlock) -> Optional[CacheBlock]:
-        """Observe an L2 eviction (L2 victim cache capture)."""
-
-    @property
-    def victim_caches(self) -> Optional[tuple[VictimCache, VictimCache]]:
-        """The ``(L1, L2)`` victim caches, if that is all the assist is.
-
-        Such an assist never changes which lines L1 or L2 hold, or their
-        LRU order, only where a miss is served from, so its runs are
-        replayed per set with the victim caches as miss-stream filters
-        (see :meth:`repro.memory.hierarchy.MemoryHierarchy.bulk_classify`).
-        None (the default) replays the L1 side in record order with the
-        assist's hooks; such an assist must leave evictions and L2 to
-        the hierarchy (``on_l1_evict``/``on_l2_evict`` return the block,
-        ``lookup_l2_alternate`` returns None).
-        """
-        return None
+    #: A fill placer (True) runs :meth:`filter_l1`; a miss-stream
+    #: filter (False) runs :meth:`filter_misses`.
+    places_fills: bool = False
 
     def filter_l1(self, cache, addrs, writes, track: bool = False):
-        """Run L1D accesses made with the gate on, in record order.
+        """Fill placer: run L1D accesses made with the gate on, in order.
 
-        For an assist without victim caches:
         :meth:`repro.memory.hierarchy.MemoryHierarchy.bulk_classify`
         calls this on ``cache`` (the live L1D) for each range of
         accesses with the gate on, and replays L2 in bulk from what it
-        returns.  The default is :func:`repro.memory.bulk.filter_assist`,
-        which drives this assist's hooks; an override must return the
-        same tuple and leave the same state behind.
+        returns, so the assist must leave evictions and L2 to the
+        hierarchy.  Mutates the live L1 sets and statistics and the
+        assist.  Returns ``(miss, demand, served, wb_idx, wb_lines,
+        tracked)`` as int64 arrays of access indices, each in access
+        order: the L1 misses; the misses that go to the next level;
+        the misses the assist served; and the writebacks (L1 dirty
+        evictions and dirty lines the assist displaced) with the
+        access that caused each.  ``tracked`` is None unless ``track``
+        (interval sampling) asks for ``(free_fills, bypassed,
+        occupancy)``: the misses whose L1 fill took a free way, the
+        bypassed misses, and the assist's ``occupancy`` before each
+        miss and after the last, whose differences are each miss's
+        change to it.
         """
-        from repro.memory.bulk import filter_assist
+        raise NotImplementedError
 
-        return filter_assist(self, cache, addrs, writes, track=track)
+    def filter_misses(self, cache, lines, evicted, evicted_dirty, on, pos):
+        """Miss-stream filter: serve the L1D misses of a replay in order.
+
+        The arguments are per miss of the per-set replay of ``cache``
+        (the live L1D), in record order: the missing ``lines``, the
+        line each miss's fill evicted (-1 if none) with its
+        written-while-resident bit, and ``pos``, each miss's index in
+        ``on``, the gate state of every data access of the replay.
+        Only a miss whose gate is on probes the assist.  Mutates the
+        assist (and the dirty bits and writeback count of ``cache``
+        where it promotes a dirty line).  Returns ``(served, wb_idx,
+        wb_lines, occupancy)``: a bool mask of the misses the assist
+        served (they skip L2); the misses that write a dirty line back
+        to L2, and those lines; and each miss's change to the assist's
+        ``occupancy`` (int64).
+        """
+        raise NotImplementedError
+
+    @property
+    def victim_caches(self) -> Optional[tuple[VictimCache, VictimCache]]:
+        """The ``(L1, L2)`` victim caches, if the assist has them.
+
+        The L2 victim cache runs as a miss-stream filter over L2's
+        misses after the L2 replay.  None (the default) leaves L2 as
+        with no assist.
+        """
+        return None
 
     # ------------------------------------------------------------------
     # aggregate counters surfaced into HierarchySnapshot

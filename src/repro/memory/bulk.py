@@ -41,29 +41,28 @@ The key decompositions, each exact rather than approximate:
   columns; the caller sorts the merged stream once and
   :func:`replay_l2` applies the same per-set replay to it.
 
-* **Victim caches as miss-stream filters.**  A victim hit refills the
-  primary cache with the same fill a next-level fill would do, so the
-  per-set replays above are exact with victim caches attached, whatever
-  the gate does; each replay reports every miss's evicted line, and
-  :func:`filter_victims` runs the live victim cache over those misses
-  in order, settling victim hits, dirty bits and writebacks.  Its
-  ``probe`` flags are the gate mask: a miss made with the gate off
-  neither probes nor fills the victim cache, and a dirty line it
-  evicts goes straight to the next level.
+* **Miss-serving assists as miss-stream filters.**  A victim hit
+  refills the primary cache with the same fill a next-level fill would
+  do, and a stream-buffer hit installs the line with the same dirty
+  bit an L2 fill would give it, so the per-set replays above are exact
+  with either attached, whatever the gate does; each replay reports
+  every miss's evicted line, and the assist's ``filter_misses`` runs
+  its live storage over those misses in order, settling assist hits
+  (which skip the next level), dirty bits and writebacks.  Only the
+  misses made with the gate on probe it.  :func:`filter_victims` is
+  the victim caches' filter, at L1 and again after the L2 replay.
 
-* **A record-order L1 filter for placement-deciding assists.**
-  Bypassing decides on each L1 miss whether the line is installed, so
-  L1 no longer factorises over sets.  But the MAT, the SLDT and the
-  bypass buffer never read L2 or the TLBs, and L2 never feeds back
-  into them, so the assist's ``filter_l1`` runs only the L1D lookups
-  and fills in record order; L2 and the TLBs are still replayed per
-  set from the misses and writebacks it emits.  The default,
-  :func:`filter_assist`, calls the live assist's own hooks (stream
-  buffers take it); the bypass assist runs a fused loop with its
-  tables inline (``repro.hwopt.controller.CacheBypassAssist``).  The
-  filter runs over each range of accesses with the gate on; a range
-  with the gate off is a plain L1D replay (:func:`replay_cache`), and
-  everything else stays one replay of the whole trace.
+* **A record-order L1 filter for the fill placer.**  Bypassing decides
+  on each L1 miss whether the line is installed, so L1 no longer
+  factorises over sets.  But the MAT, the SLDT and the bypass buffer
+  never read L2 or the TLBs, and L2 never feeds back into them, so the
+  assist's ``filter_l1`` (one fused loop with its tables inline, in
+  ``repro.hwopt.controller.CacheBypassAssist``) runs only the L1D
+  lookups and fills in record order, over each range of accesses with
+  the gate on, through :func:`working_lrus` and :func:`commit_filter`;
+  a range with the gate off is a plain L1D replay
+  (:func:`replay_cache`), and L2 and the TLBs are still replayed per
+  set from the misses and writebacks it emits.
 
 Latency never feeds back into any of these structures, which is what
 makes the phase split legal — see the bit-identity note in
@@ -89,11 +88,10 @@ the setting's replay.  It does not cover:
 from __future__ import annotations
 
 from array import array
-from itertools import count, repeat
+from itertools import repeat
 
 import numpy as np
 
-from repro.memory.assist import ASSIST_HIT_CYCLES
 from repro.memory.block import CacheBlock
 
 __all__ = [
@@ -103,7 +101,6 @@ __all__ = [
     "replay_cache",
     "replay_l2",
     "filter_victims",
-    "filter_assist",
     "working_lrus",
     "commit_filter",
     "replay_shadow",
@@ -904,7 +901,8 @@ def commit_filter(
     Replaces the live sets with the working ``lrus``, adds the run's
     ``n`` accesses, its misses (``columns[0]``) and evictions to the
     statistics, and converts ``columns`` (``array('q')`` each) to the
-    tuple :func:`filter_assist` returns.
+    tuple :meth:`repro.memory.assist.AssistInterface.filter_l1`
+    returns.
     """
     for od, lru in zip(cache._sets, lrus):
         od.clear()
@@ -923,113 +921,6 @@ def commit_filter(
         for col in columns
     ]
     return (*arrays[:5], tuple(arrays[5:]) if track else None)
-
-
-def filter_assist(
-    assist, cache, addrs: np.ndarray, writes: np.ndarray, track: bool = False
-):
-    """Run the L1 half of the access walk in record order with a live assist.
-
-    The default :meth:`repro.memory.assist.AssistInterface.filter_l1`,
-    for an assist without victim caches whose L1 eviction and L2-side
-    hooks are pass-throughs: stream buffers take it.  The bypass assist
-    overrides ``filter_l1`` with a fused loop that does what its hooks
-    do inline; run on it, this function is that loop's oracle.  Such an
-    assist never reads L2, the TLBs or simulated time, and L2 never
-    feeds back into L1 or the assist, so only the L1 lookup, the
-    assist's hooks and the L1 fill need the access order; the caller
-    replays L2 in bulk afterwards.  Per access, as the per-access walk
-    does with the gate on: look up L1 and ``note_access``; on a miss,
-    ``lookup_alternate`` (a hit is served by the assist, installing
-    any promoted block), else ``fill_decision`` against the line a fill
-    would evict, then the fill or ``accept_bypassed``.
-
-    Mutates the live L1 sets and statistics and the assist.  Returns
-    ``(miss, demand, served, wb_idx, wb_lines, tracked)`` as int64
-    arrays, each in access order: the L1 misses; the misses that go to
-    the next level; the misses the assist served (each must cost
-    ``ASSIST_HIT_CYCLES``, or this raises ``ValueError``); and the
-    writebacks (L1 dirty evictions and dirty lines the assist
-    displaced) with the access that caused each.
-    ``tracked`` is None unless ``track`` (interval sampling) asks for
-    ``(free_fills, bypassed, occupancy)``: the misses whose L1 fill
-    took a free way, the bypassed misses, and the assist's
-    ``occupancy`` before each miss's hooks and after the last miss's,
-    whose differences are each miss's change to it.
-    """
-    n = addrs.size
-    shift = cache._offset_bits
-    num_sets = cache._num_sets
-    assoc = cache._assoc
-    lrus = working_lrus(cache)
-    note = assist.note_access
-    lookup_alternate = assist.lookup_alternate
-    fill_decision = assist.fill_decision
-    accept_bypassed = assist.accept_bypassed
-    miss, demand, served = array("q"), array("q"), array("q")
-    wb_idx, wb_lines = array("q"), array("q")
-    miss_append, demand_append = miss.append, demand.append
-    # Interval sampling only (see ``tracked`` above).
-    free_fills, bypassed, occupancy = array("q"), array("q"), array("q")
-    evictions = dirty_evictions = 0
-    for base in range(0, n, CHUNK):
-        for i, addr, w in zip(
-            count(base),
-            addrs[base : base + CHUNK].tolist(),
-            writes[base : base + CHUNK].tolist(),
-        ):
-            ln = addr >> shift
-            lru = lrus[ln % num_sets]
-            prev = lru.pop(ln, _MISS)
-            if prev is not _MISS:
-                lru[ln] = prev or w
-                note(addr, w, True)
-                continue
-            note(addr, w, False)
-            miss_append(i)
-            if track:
-                occupancy.append(assist.occupancy)
-            hit = lookup_alternate(addr, ln, w)
-            if hit is not None:
-                extra, promoted = hit
-                if extra != ASSIST_HIT_CYCLES:
-                    raise ValueError(
-                        f"assist hit costs {extra} cycles, not "
-                        f"{ASSIST_HIT_CYCLES}"
-                    )
-                served.append(i)
-                if promoted is None:  # served in place, L1 untouched
-                    continue
-                w = promoted.dirty or w
-            else:
-                demand_append(i)
-                victim = next(iter(lru)) if len(lru) >= assoc else None
-                if not fill_decision(addr, victim).cache_in_l1:
-                    if track:
-                        bypassed.append(i)
-                    displaced = accept_bypassed(addr, CacheBlock(ln, w))
-                    if displaced is not None and displaced.dirty:
-                        wb_idx.append(i)
-                        wb_lines.append(displaced.block_addr)
-                    continue
-            if len(lru) >= assoc:
-                victim = next(iter(lru))
-                evictions += 1
-                if lru.pop(victim):
-                    dirty_evictions += 1
-                    wb_idx.append(i)
-                    wb_lines.append(victim)
-            elif track:
-                free_fills.append(i)
-            lru[ln] = w
-
-    columns = [miss, demand, served, wb_idx, wb_lines]
-    if track:
-        occupancy.append(assist.occupancy)
-        columns += [free_fills, bypassed, occupancy]
-    return commit_filter(
-        cache, lrus, n, evictions, dirty_evictions, columns, track
-    )
 
 
 def replay_shadow(cache, lines: np.ndarray, hit: np.ndarray) -> None:

@@ -29,9 +29,9 @@ class SetAssociativeCache:
 
     The external address unit is the *byte address*; internally the cache
     works on line numbers (``addr // block_size``).  Lookups and fills are
-    separate operations so that the hierarchy (and the hardware assists
-    hooked into it) can interpose bypass / victim decisions between a
-    miss and the corresponding fill.
+    separate operations so that a per-access walk (the simulator's
+    oracle, ``tests/cpu/oracle.py``) can interpose bypass / victim
+    decisions between a miss and the corresponding fill.
     """
 
     def __init__(self, params: CacheParams, classify_misses: bool = False):

@@ -1,13 +1,13 @@
-"""Multi-level memory hierarchy with hardware-assist hook points.
+"""Multi-level memory hierarchy with an optional hardware assist.
 
 Implements the Table 1 machine: split L1 (2-cycle), unified L2
 (10-cycle), 100-cycle DRAM behind an 8-byte bus, and 4-way TLBs.  An
-optional :class:`repro.memory.assist.AssistInterface` (cache bypassing
-or victim caching, from :mod:`repro.hwopt`) is consulted on L1 misses,
-fills and evictions — but only by the accesses made while the gate is
-on: :meth:`MemoryHierarchy.bulk_classify` takes each access's gate
-state as a mask, which is how the compiler-inserted activate/deactivate
-instructions take effect.
+optional :class:`repro.memory.assist.AssistInterface` from
+:mod:`repro.hwopt` — a fill placer (cache bypassing) or a miss-stream
+filter (victim caches, stream buffers) — is consulted only by the
+accesses made while the gate is on: :meth:`MemoryHierarchy.bulk_classify`
+takes each access's gate state as a mask, which is how the
+compiler-inserted activate/deactivate instructions take effect.
 """
 
 from __future__ import annotations
@@ -112,37 +112,26 @@ class MemoryHierarchy:
 
         ``on`` is the gate state of each data access (bool), or None
         when no access sees the assist (no assist, or the gate is off
-        throughout).  An access with the gate on consults the assist:
-        its L1 miss probes the assist's storage, its fill may be
-        placed by it, and what it evicts is offered to it.  One with
-        the gate off sees the plain hierarchy.  Instruction fetch
-        never consults the assist.  With no access on, the L1D stream
-        is replayed per set.  Victim caches (``victim_caches`` is not
-        None) replay exactly because a victim hit promotes the line
-        with the same ``fill`` a next-level fill would do: L1D (and,
-        one level down, L2) tags and LRU order are the same as with no
-        assist, so the per-set replays stay as they are, and
-        :func:`repro.memory.bulk.filter_victims` runs each victim cache
-        as a sequential filter over that level's misses and evictions,
-        probed by the misses whose gate is on.  The L1 filter decides
-        which misses reach L2 and which displaced dirty lines are
-        written back to it; the L2 filter runs after the L2 replay.
-        Any other assist (bypassing, stream buffers) decides L1
-        placement itself, so over each range of accesses with the gate
-        on its ``filter_l1`` runs the L1D lookups and fills in record
-        order against the live assist (stream buffers through
-        :func:`repro.memory.bulk.filter_assist`, the bypass assist
-        through a fused loop whose oracle is that same hook-driven
-        filter), and each range with the gate off is a plain per-set
-        L1D replay; L2, the TLBs and L1I stay one replay.  Such an
-        assist must leave evictions and L2 to the hierarchy (its
-        ``on_l1_evict``/``on_l2_evict`` return the block and its
-        ``lookup_l2_alternate`` returns None), which is what lets L2 be
-        replayed in bulk from the demand misses and writebacks it
-        emits.  All live structures — caches, assists,
-        TLBs, shadow classifiers, DRAM counters — end in the state the
-        per-access walk (``tests/cpu/oracle.py``) leaves, so a later
-        call continues from them.
+        throughout).  An access with the gate on consults the assist;
+        one with the gate off sees the plain hierarchy.  Instruction
+        fetch never consults the assist.  The L1D half runs one of two
+        ways, by the assist's shape (:mod:`repro.memory.assist`):
+
+        * no assist, or a miss-stream filter (victim caches, stream
+          buffers): L1D is replayed per set, as with no assist, since
+          such an assist never changes which lines L1 holds or their
+          LRU order.  Its ``filter_misses`` then runs over the misses
+          in record order; the ones it serves skip L2, and the rest,
+          with every writeback it leaves, go on as with no assist.
+          The L2 victim cache runs the same way over L2's misses after
+          the L2 replay.
+        * a fill placer (bypassing): :meth:`_placed_l1`.
+
+        L2, the TLBs and L1I stay one replay each.  All live
+        structures — caches, assists, TLBs, shadow classifiers, DRAM
+        counters — end in the state the per-access walk
+        (``tests/cpu/oracle.py``) leaves, so a later call continues
+        from them.
 
         Returns ``(data, fetch, counters)``:
 
@@ -192,7 +181,7 @@ class MemoryHierarchy:
         empty = np.empty(0, dtype=np.int64)
         occ_pos = bypass_pos = empty
         occ_delta = None
-        if assist is not None and victims is None:
+        if assist is not None and assist.places_fills:
             (
                 d_miss, dm_pos, served_pos, wb_pos, wb_lines, l1_free,
                 bypass_pos, occ_delta,
@@ -209,36 +198,21 @@ class MemoryHierarchy:
             if sample:
                 l1_miss = dm_pos
                 l1_free = dm_pos[evicted < 0]
-            if victims is None:
+            if assist is None:
                 # Every L1D miss goes to L2 and every dirty eviction is
                 # written back; L1I evictions are never dirty.
                 wb_pos = dm_pos[evicted_dirty]
                 wb_lines = evicted[evicted_dirty]
             else:
-                # The L1 victim cache filters the misses in record
-                # order: the ones with the gate on probe it (hits are
-                # served from it) and send it the line they evict, the
-                # rest go to L2, and the dirty lines it displaces, or
-                # that a miss with the gate off evicts, are written
-                # back.
                 chrono = np.argsort(dm_pos)
                 dm_pos, dm_lines = dm_pos[chrono], dm_lines[chrono]
-                evicted = evicted[chrono]
-                vc_hit, spill_idx, spill_lines, unprobed, vc_grow = (
-                    filter_victims(
-                        victims[0], l1d, dm_lines, evicted,
-                        evicted_dirty[chrono], probe=on[dm_pos],
-                    )
+                served, wb_idx, wb_lines, occ_delta = assist.filter_misses(
+                    l1d, dm_lines, evicted[chrono], evicted_dirty[chrono],
+                    on, dm_pos,
                 )
-                wb_pos = np.concatenate((dm_pos[spill_idx], dm_pos[unprobed]))
-                wb_lines = np.concatenate((spill_lines, evicted[unprobed]))
-                served_pos = dm_pos[vc_hit]
-                if sample:
-                    occ_pos = dm_pos
-                    occ_delta = -vc_hit.astype(np.int64)
-                    occ_delta[vc_grow] += 1
-                vc_miss = ~vc_hit
-                dm_pos, dm_lines = dm_pos[vc_miss], dm_lines[vc_miss]
+                wb_pos, occ_pos = dm_pos[wb_idx], dm_pos
+                served_pos = dm_pos[served]
+                dm_pos, dm_lines = dm_pos[~served], dm_lines[~served]
 
         # Merged L2 event stream in (record, phase) order.
         shift_d = l2._offset_bits - l1d._offset_bits
@@ -357,17 +331,17 @@ class MemoryHierarchy:
         return data, fetch, counters
 
     def _placed_l1(self, assist, d_lines, addrs, writes, on, sample):
-        """The L1D half of a replay whose assist places L1 fills itself.
+        """The L1D half of a replay whose assist is a fill placer.
 
         Over each range of accesses with the gate on, the assist's
-        ``filter_l1`` runs the L1D lookups and fills in record order
-        with its hooks; a range with the gate off is a plain L1D replay
-        per set, as with no assist.  Returns int64 columns of access
-        indices, each in any order: the L1 misses, the misses that go
-        to L2, the misses the assist served, the writebacks (with their
-        lines), and for interval sampling the misses that fill a free
-        way, the bypassed misses and each miss's change to the
-        assist's occupancy (aligned with the misses).
+        ``filter_l1`` runs the L1D lookups and fills in record order; a
+        range with the gate off is a plain L1D replay per set, as with
+        no assist.  Returns int64 columns of access indices, each in
+        any order: the L1 misses, the misses that go to L2, the misses
+        the assist served, the writebacks (with their lines), and for
+        interval sampling the misses that fill a free way, the bypassed
+        misses and each miss's change to the assist's occupancy
+        (aligned with the misses).
         """
         import numpy as np
 

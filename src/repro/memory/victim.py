@@ -4,13 +4,14 @@ A small LRU buffer that receives lines evicted from a primary cache.  On
 a primary-cache miss the victim cache is probed; a hit returns the line
 to the primary cache (the hierarchy performs the swap), avoiding the
 trip to the next level.  The paper uses 64-entry (L1) and 512-entry (L2)
-victim caches as one of its two hardware locality mechanisms.
+victim caches as one of its two hardware locality mechanisms.  The
+replay runs a victim cache as a miss-stream filter over its primary
+cache's misses (:func:`repro.memory.bulk.filter_victims`).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional
 
 from repro.memory.block import CacheBlock
 from repro.memory.stats import CacheStats
@@ -31,47 +32,3 @@ class VictimCache:
 
     def __len__(self) -> int:
         return len(self._blocks)
-
-    def insert(self, block: CacheBlock) -> Optional[CacheBlock]:
-        """Add an evicted ``block``; return any block displaced by LRU.
-
-        A displaced dirty block must be written back by the caller (the
-        hierarchy counts it against the victim cache's writeback stat
-        here).
-        """
-        displaced: Optional[CacheBlock] = None
-        if block.block_addr in self._blocks:
-            # Re-inserting a line already present: merge dirty bits.
-            existing = self._blocks[block.block_addr]
-            existing.dirty = existing.dirty or block.dirty
-            self._blocks.move_to_end(block.block_addr)
-            return None
-        if len(self._blocks) >= self.entries:
-            _, displaced = self._blocks.popitem(last=False)
-            self.stats.evictions += 1
-            if displaced.dirty:
-                self.stats.writebacks += 1
-        self._blocks[block.block_addr] = block
-        return displaced
-
-    def extract(self, line: int) -> Optional[CacheBlock]:
-        """Probe for ``line``; on hit remove and return it (swap out).
-
-        Records an access plus hit/miss in the stats — this models the
-        probe that happens on every primary-cache miss while the
-        mechanism is active.
-        """
-        self.stats.accesses += 1
-        block = self._blocks.pop(line, None)
-        if block is not None:
-            self.stats.hits += 1
-        else:
-            self.stats.misses += 1
-        return block
-
-    def contains(self, line: int) -> bool:
-        """Presence check without statistics (tests and assertions)."""
-        return line in self._blocks
-
-    def flush(self) -> None:
-        self._blocks.clear()

@@ -300,6 +300,52 @@ class _Shed(Exception):
         }
 
 
+class _SingleFlight:
+    """Values built at most once per key, concurrently and on demand.
+
+    A caller that finds its key's value gets it without suspending.  The
+    first caller of a missing key builds it, and callers that come
+    while it builds await that build.  A failed build is not kept: the
+    builder sees its own exception, and each waiter a 400 of the same
+    message if that was a :class:`_BadRequest`, else a ``RuntimeError``
+    naming it.
+    """
+
+    def __init__(self):
+        self.values: dict = {}
+        self._pending: dict[Any, asyncio.Future] = {}
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    async def get(self, key, build):
+        """The value of ``key``; ``build`` is a coroutine function."""
+        value = self.values.get(key)
+        if value is not None:
+            return value
+        pending = self._pending.get(key)
+        if pending is not None:
+            error, value = await asyncio.shield(pending)
+            if isinstance(error, _BadRequest):
+                raise _BadRequest(str(error))
+            if error is not None:
+                raise RuntimeError(f"{type(error).__name__}: {error}")
+            return value
+        pending = self._pending[key] = (
+            asyncio.get_running_loop().create_future()
+        )
+        try:
+            value = await build()
+        except Exception as exc:  # noqa: BLE001 - waiters fail too
+            del self._pending[key]
+            pending.set_result((exc, None))
+            raise
+        self.values[key] = value
+        del self._pending[key]
+        pending.set_result((None, value))
+        return value
+
+
 class SweepService:
     """All service state; every method runs on the event loop."""
 
@@ -355,12 +401,10 @@ class SweepService:
         #: computation.  Entries exist only while a cell is executing.
         self._inflight: dict[str, asyncio.Future] = {}
         #: (benchmark, scale.name) → (slimmed codes, trace digests).
-        self._prep_cache: dict[tuple[str, str], tuple] = {}
-        self._prep_inflight: dict[tuple[str, str], asyncio.Future] = {}
+        self._prepares = _SingleFlight()
         #: (benchmark, scale.name) → analytic payload at the default
         #: gating, which every request re-gates.
-        self._analyses: dict[tuple[str, str], dict] = {}
-        self._analysis_inflight: dict[tuple[str, str], asyncio.Future] = {}
+        self._analyses = _SingleFlight()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -430,7 +474,7 @@ class SweepService:
         for spec in request.specs:
             digests: tuple = ()
             if spec.needs_codes:
-                cached = self._prep_cache.get(
+                cached = self._prepares.values.get(
                     (spec.benchmark, spec.scale.name)
                 )
                 if cached is None:
@@ -857,19 +901,8 @@ class SweepService:
     # preparation (parent-side codes + digests for "cell" kind)
 
     async def _prepared(self, benchmark: str, scale: Scale) -> tuple:
-        key = (benchmark, scale.name)
-        cached = self._prep_cache.get(key)
-        if cached is not None:
-            return cached
-        pending = self._prep_inflight.get(key)
-        if pending is not None:
-            status, value = await asyncio.shield(pending)
-            if status == "error":
-                raise RuntimeError(value)
-            return value
-
-        pending = self._loop.create_future()
-        self._prep_inflight[key] = pending
+        """Codes and trace digests, prepared once per (benchmark,
+        scale)."""
 
         def build() -> tuple:
             # Exactly the offline driver's preparation (run_suite):
@@ -886,17 +919,11 @@ class SweepService:
             )
             return codes, digests
 
-        try:
+        async def run() -> tuple:
             self.metrics["prepares"] += 1
-            value = await self._loop.run_in_executor(self._executor, build)
-        except Exception as exc:  # noqa: BLE001 - waiters fail too
-            self._prep_inflight.pop(key, None)
-            pending.set_result(("error", f"{type(exc).__name__}: {exc}"))
-            raise
-        self._prep_cache[key] = value
-        self._prep_inflight.pop(key, None)
-        pending.set_result(("ok", value))
-        return value
+            return await self._loop.run_in_executor(self._executor, build)
+
+        return await self._prepares.get((benchmark, scale.name), run)
 
     # ------------------------------------------------------------------
     # analytic prediction ("predict" endpoint — no trace, no cells)
@@ -935,41 +962,19 @@ class SweepService:
 
     async def _analysis(self, benchmark: str, scale: Scale) -> dict:
         """The default-gated prediction, built once per (benchmark,
-        scale): concurrent duplicates await the first build, and a
-        failed build is not kept."""
-        key = (benchmark, scale.name)
-        cached = self._analyses.get(key)
-        if cached is not None:
-            return cached
-        pending = self._analysis_inflight.get(key)
-        if pending is not None:
-            status, value = await asyncio.shield(pending)
-            if status == "bad":
-                raise _BadRequest(value)
-            if status == "error":
-                raise RuntimeError(value)
-            return value
+        scale); an unknown benchmark is a 400."""
 
-        pending = self._loop.create_future()
-        self._analysis_inflight[key] = pending
-        try:
+        async def run() -> dict:
             self.metrics["predicts"] += 1
-            value = await self._loop.run_in_executor(
-                self._executor, predict_benchmark, benchmark, scale
-            )
-        except KeyError as exc:
-            self._analysis_inflight.pop(key, None)
-            message = str(exc.args[0] if exc.args else exc)
-            pending.set_result(("bad", message))
-            raise _BadRequest(message) from None
-        except Exception as exc:  # noqa: BLE001 - waiters fail too
-            self._analysis_inflight.pop(key, None)
-            pending.set_result(("error", f"{type(exc).__name__}: {exc}"))
-            raise
-        self._analyses[key] = value
-        self._analysis_inflight.pop(key, None)
-        pending.set_result(("ok", value))
-        return value
+            try:
+                return await self._loop.run_in_executor(
+                    self._executor, predict_benchmark, benchmark, scale
+                )
+            except KeyError as exc:
+                message = str(exc.args[0] if exc.args else exc)
+                raise _BadRequest(message) from None
+
+        return await self._analyses.get((benchmark, scale.name), run)
 
     # ------------------------------------------------------------------
     # artifacts and introspection documents

@@ -161,7 +161,7 @@ class TestMarkers:
                 tb.load(0x200000 + way * span)
         run_trace(body, machine, assist, initially_on=False,
                   model_ifetch=False)
-        resident = [assist.l1_victim.contains(line) for line in
+        resident = [line in assist.l1_victim._blocks for line in
                     range(0x100000 // 32, 0x100000 // 32 + 1)]
         assert not any(resident)
         assert len(assist.l1_victim) >= 1  # captured while ON

@@ -22,6 +22,7 @@ import pickle
 import weakref
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -30,7 +31,6 @@ import repro.core.experiment as experiment
 from repro.core.experiment import run_benchmark, simulate_trace
 from repro.core.runner import _slim_codes
 from repro.core.versions import make_assist, prepare_codes
-from repro.cpu.pipeline import CPUSimulator
 from repro.isa.instructions import Opcode
 from repro.isa.packed import PackedTrace
 from repro.memory.assist import ASSIST_HIT_CYCLES
@@ -397,20 +397,22 @@ class TestMemoScope:
 def test_assist_hits_must_cost_the_coded_latency():
     """The replay records only that an access was assist-served, so an
     assist hit with another extra latency is refused, not mistimed.
-    Stream buffers run the hook-driven L1 filter, which checks it."""
+    The hook-driven L1 filter of the oracle, the reference of every
+    record-order filter, checks it."""
     machine = _machine()
-    assist = make_assist("prefetch", machine)
+    assist = oracle.as_oracle(make_assist("prefetch", machine))
     assist.lookup_alternate = lambda addr, line, is_write=False: (2, None)
-    simulator = CPUSimulator(machine, MemoryHierarchy(machine, assist))
+    l1 = MemoryHierarchy(machine, assist).l1d
+    addrs, writes = np.array([0x1000]), np.array([False])
     with pytest.raises(ValueError, match="assist hit costs 2 cycles"):
-        simulator.run(_long_trace())
+        oracle.filter_assist(assist, l1, addrs, writes)
 
 
 def test_bypass_buffer_hits_cost_the_coded_latency():
     """The bypass assist's fused L1 filter never calls
     ``lookup_alternate`` and charges every buffer hit
     ``ASSIST_HIT_CYCLES``, so the scalar hook must cost the same."""
-    assist = make_assist("bypass", _machine())
+    assist = oracle.as_oracle(make_assist("bypass", _machine()))
     assert assist.lookup_alternate(0x1000, 0x1000 >> 5) is None
     assist.buffer.insert(0x1000)
     assert assist.lookup_alternate(0x1000, 0x1000 >> 5, True) == (

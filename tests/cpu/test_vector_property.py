@@ -527,3 +527,60 @@ class TestBypassBufferTiming:
         machine = base_config().scaled(TINY.machine_divisor)
         result = simulate_trace(trace, machine, mechanism="bypass")
         assert result.memory.assist_hits == 1
+
+
+def _l1_placement(state):
+    """L1D's lines in LRU order per set, and its access counts."""
+    sets, stats = state["l1d"]
+    lines = [[line for line, _, _ in s] for s in sets]
+    return lines, (stats.accesses, stats.hits, stats.misses, stats.evictions)
+
+
+class TestMissFiltersLeaveL1:
+    """The premise of the miss-stream filters: victim caches and stream
+    buffers never change which lines L1D holds, their LRU order or its
+    access counts, wherever the markers sit.  They only take the
+    misses they serve away from L2.  A stream-buffer hit installs the
+    line with the dirty bit an L2 fill would give it, so its L1D equals
+    the plain one outright; a line swapped back from the victim cache
+    keeps the dirty bit it left with, since it was never written back."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        trace=marker_placements(),
+        mechanism=st.sampled_from(["victim", "prefetch"]),
+        initially_on=st.booleans(),
+    )
+    def test_l1_is_the_plain_replay(self, trace, mechanism, initially_on):
+        _, plain = run_machine(trace, False, None)
+        _, state = run_machine(
+            trace, False, mechanism, initially_on=initially_on
+        )
+        assert _l1_placement(state) == _l1_placement(plain)
+        if mechanism == "victim":
+            served = state["l1_victim"][1].hits
+        else:
+            assert state["l1d"] == plain["l1d"]
+            served = state["counters"][1]
+        assert state["l2"][1].accesses == plain["l2"][1].accesses - served
+
+    def test_victim_hit_keeps_its_dirty_bit(self):
+        """A stored line pushed into the victim cache and swapped back
+        is dirty in L1D; with no assist it was written back and comes
+        back clean.  Nothing else about L1D differs."""
+        lines = [0x10000 + k * 1024 for k in range(6)] + [0x10000]
+        ops = [_STORE] + [_LOAD] * 6
+        trace = PackedTrace(
+            "swap", ops, lines, [0x400000 + 4 * i for i in range(7)]
+        )
+        _, plain = run_machine(trace, False, None)
+        _, state = run_machine(trace, False, "victim")
+        assert _l1_placement(state) == _l1_placement(plain)
+        home = 0x10000 >> 5
+        dirty = {
+            line: (d, plain_d)
+            for s, plain_s in zip(state["l1d"][0], plain["l1d"][0])
+            for (line, _, d), (_, _, plain_d) in zip(s, plain_s)
+            if d != plain_d
+        }
+        assert dirty == {home: (True, False)}

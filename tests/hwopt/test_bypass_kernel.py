@@ -1,12 +1,12 @@
 """The bypass assist's fused record-order L1 filter.
 
 ``CacheBypassAssist.filter_l1`` does inline what the assist's hooks do
-when :func:`repro.memory.bulk.filter_assist` drives them.  Run on two
-copies of the same assist and L1, the two must return the same arrays
-and leave every field of the L1 sets and statistics, the MAT, the
-SLDT, the buffer and the assist's counters the same.  The streams are
-built to reach every event of the fill rule: MAT tag conflicts and
-aging (also across the filters' ``CHUNK`` boundaries), SLDT
+when the oracle's :func:`tests.cpu.oracle.filter_assist` drives them.
+Run on two copies of the same assist and L1, the two must return the
+same arrays and leave every field of the L1 sets and statistics, the
+MAT, the SLDT, the buffer and the assist's counters the same.  The
+streams are built to reach every event of the fill rule: MAT tag
+conflicts and aging (also across the filters' ``CHUNK`` boundaries), SLDT
 retirements in both directions, bypassed fills, buffer hits and dirty
 double words displaced from the buffer.
 """
@@ -25,11 +25,13 @@ from repro.core.versions import prepare_codes
 from repro.hwopt.controller import CacheBypassAssist
 from repro.hwopt.mat import MemoryAccessTable
 from repro.memory import bulk
+from repro.memory.assist import AssistInterface
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.params import base_config
 from repro.telemetry import Telemetry
 from repro.workloads.base import TINY
 from repro.workloads.registry import get_spec
+from tests.cpu import oracle
 
 #: TINY's macro-block, which is also its L1D set span: line ``l`` of
 #: every macro-block maps to the same L1D set.
@@ -110,7 +112,7 @@ def _build(age_interval):
         assist.mat = MemoryAccessTable(
             machine.bypass, age_interval=age_interval
         )
-    return assist, MemoryHierarchy(machine, assist).l1d
+    return oracle.as_oracle(assist), MemoryHierarchy(machine, assist).l1d
 
 
 def state(assist, l1):
@@ -158,10 +160,12 @@ def _differing(left, right):
 def assert_fused_matches_hooks(prefix, stream, age_interval, track):
     """Run ``prefix`` through the hooks, then ``stream`` both ways."""
     assist, l1 = _build(age_interval)
-    bulk.filter_assist(assist, l1, *prefix)
+    oracle.filter_assist(assist, l1, *prefix)
     twin_assist, twin_l1 = copy.deepcopy((assist, l1))
     fused = assist.filter_l1(l1, *stream, track=track)
-    hooked = bulk.filter_assist(twin_assist, twin_l1, *stream, track=track)
+    hooked = oracle.filter_assist(
+        twin_assist, twin_l1, *stream, track=track
+    )
     assert _differing(outputs(fused), outputs(hooked)) == []
     assert _differing(state(assist, l1), state(twin_assist, twin_l1)) == []
     return assist, fused
@@ -207,8 +211,8 @@ def test_streams_reach_every_event():
 
 @pytest.mark.parametrize("interval", [None, 97])
 def test_bypass_spans_take_the_fused_loop(monkeypatch, interval):
-    """Plain and sampled bypass runs never enter the hook-driven filter:
-    a slip back to it would still pass every equality test."""
+    """Plain and sampled bypass runs take the fused loop, and never the
+    miss-stream filter path of the other assists."""
     entered = []
     fused = CacheBypassAssist.filter_l1
 
@@ -217,11 +221,11 @@ def test_bypass_spans_take_the_fused_loop(monkeypatch, interval):
         return fused(self, *args, **kwargs)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a bypass span took bulk.filter_assist")
+        raise AssertionError("a bypass span took the miss-stream filter")
 
     machine = _machine()
     codes = prepare_codes(get_spec("tpcd_q3"), TINY, machine)
-    monkeypatch.setattr(bulk, "filter_assist", refuse)
+    monkeypatch.setattr(AssistInterface, "filter_misses", refuse)
     monkeypatch.setattr(CacheBypassAssist, "filter_l1", spy)
     telemetry = Telemetry(interval=interval) if interval else None
     simulate_trace(

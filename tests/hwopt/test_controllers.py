@@ -1,4 +1,5 @@
-"""Unit tests for the two hardware assists and the ON/OFF gate."""
+"""Unit tests for the two hardware assists and the ON/OFF gate.  The
+assist tests run the per-access hooks of ``tests/cpu/oracle.py``."""
 
 import pytest
 
@@ -6,6 +7,7 @@ from repro.hwopt.controller import CacheBypassAssist, VictimCacheAssist
 from repro.hwopt.gate import HardwareGate
 from repro.memory.block import CacheBlock
 from repro.params import base_config
+from tests.cpu.oracle import as_oracle
 
 
 @pytest.fixture
@@ -15,18 +17,18 @@ def machine():
 
 class TestCacheBypassAssist:
     def test_free_way_always_caches(self, machine):
-        assist = CacheBypassAssist(machine)
+        assist = as_oracle(CacheBypassAssist(machine))
         decision = assist.fill_decision(0x1000, victim_line=None)
         assert decision.cache_in_l1
 
     def test_bypass_requires_hot_victim(self, machine):
-        assist = CacheBypassAssist(machine)
+        assist = as_oracle(CacheBypassAssist(machine))
         # Victim macro-block untrained: frequency 0 < min_victim_freq.
         decision = assist.fill_decision(0x1000, victim_line=0x2000 // 32)
         assert decision.cache_in_l1
 
     def test_bypass_fires_for_cold_incoming_hot_victim(self, machine):
-        assist = CacheBypassAssist(machine)
+        assist = as_oracle(CacheBypassAssist(machine))
         victim_addr = 0x2000
         for _ in range(64):
             assist.mat.record(victim_addr)
@@ -37,7 +39,7 @@ class TestCacheBypassAssist:
         assert not decision.cache_in_l1
 
     def test_no_bypass_when_incoming_also_hot(self, machine):
-        assist = CacheBypassAssist(machine)
+        assist = as_oracle(CacheBypassAssist(machine))
         for _ in range(64):
             assist.mat.record(0x2000)
             assist.mat.record(0x80000)
@@ -45,7 +47,7 @@ class TestCacheBypassAssist:
         assert decision.cache_in_l1
 
     def test_spatial_incoming_never_bypassed(self, machine):
-        assist = CacheBypassAssist(machine)
+        assist = as_oracle(CacheBypassAssist(machine))
         for _ in range(64):
             assist.mat.record(0x2000)
         # Teach the SLDT that the incoming macro-block is spatial.
@@ -59,7 +61,7 @@ class TestCacheBypassAssist:
 
     def test_spatial_victim_not_protected(self, machine):
         """A streaming victim's lines are dead; evicting them is fine."""
-        assist = CacheBypassAssist(machine)
+        assist = as_oracle(CacheBypassAssist(machine))
         victim_addr = 0x2000
         for _ in range(64):
             assist.mat.record(victim_addr)
@@ -73,7 +75,7 @@ class TestCacheBypassAssist:
         assert decision.cache_in_l1
 
     def test_bypassed_data_served_from_buffer(self, machine):
-        assist = CacheBypassAssist(machine)
+        assist = as_oracle(CacheBypassAssist(machine))
         assist.accept_bypassed(0x3000, CacheBlock(0x3000 // 32))
         served = assist.lookup_alternate(0x3000, 0x3000 // 32)
         assert served is not None
@@ -83,23 +85,23 @@ class TestCacheBypassAssist:
         assert assist.assist_hits == 1
 
     def test_buffer_miss_returns_none(self, machine):
-        assist = CacheBypassAssist(machine)
+        assist = as_oracle(CacheBypassAssist(machine))
         assert assist.lookup_alternate(0x3000, 0x3000 // 32) is None
 
     def test_note_access_trains_mat_and_sldt(self, machine):
-        assist = CacheBypassAssist(machine)
+        assist = as_oracle(CacheBypassAssist(machine))
         assist.note_access(0x4000, is_write=False, l1_hit=True)
         assert assist.mat.frequency(0x4000) == 1
 
     def test_evictions_not_captured(self, machine):
-        assist = CacheBypassAssist(machine)
+        assist = as_oracle(CacheBypassAssist(machine))
         block = CacheBlock(7, dirty=True)
         assert assist.on_l1_evict(block) is block
 
 
 class TestVictimCacheAssist:
     def test_eviction_capture_and_swap(self, machine):
-        assist = VictimCacheAssist(machine)
+        assist = as_oracle(VictimCacheAssist(machine))
         assert assist.on_l1_evict(CacheBlock(42)) is None
         served = assist.lookup_alternate(42 * 32, 42)
         assert served is not None
@@ -108,24 +110,24 @@ class TestVictimCacheAssist:
         assert promoted.block_addr == 42  # promoted back into L1
 
     def test_write_on_victim_hit_dirties(self, machine):
-        assist = VictimCacheAssist(machine)
+        assist = as_oracle(VictimCacheAssist(machine))
         assist.on_l1_evict(CacheBlock(42, dirty=False))
         _lat, promoted = assist.lookup_alternate(42 * 32, 42, is_write=True)
         assert promoted.dirty
 
     def test_l2_victim_path(self, machine):
-        assist = VictimCacheAssist(machine)
+        assist = as_oracle(VictimCacheAssist(machine))
         assert assist.on_l2_evict(CacheBlock(9)) is None
         assert assist.lookup_l2_alternate(9) is not None
         assert assist.lookup_l2_alternate(9) is None  # removed by hit
 
     def test_never_bypasses(self, machine):
-        assist = VictimCacheAssist(machine)
+        assist = as_oracle(VictimCacheAssist(machine))
         decision = assist.fill_decision(0x1000, victim_line=5)
         assert decision.cache_in_l1
 
     def test_counters(self, machine):
-        assist = VictimCacheAssist(machine)
+        assist = as_oracle(VictimCacheAssist(machine))
         assert assist.bypassed_fills == 0
         assert assist.prefetched_blocks == 0
 

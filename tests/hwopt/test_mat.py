@@ -1,11 +1,13 @@
-"""Unit tests for the Memory Access Table."""
+"""Unit tests for the Memory Access Table, one access at a time
+(the per-access methods of ``tests/cpu/oracle.py``)."""
 
 from repro.hwopt.mat import MemoryAccessTable
 from repro.params import BypassParams
+from tests.cpu.oracle import as_oracle
 
 
 def make_mat(**kwargs):
-    return MemoryAccessTable(BypassParams(), **kwargs)
+    return as_oracle(MemoryAccessTable(BypassParams(), **kwargs))
 
 
 class TestCounting:

@@ -1,4 +1,5 @@
-"""Tests for the stream-buffer prefetch extension."""
+"""Tests for the stream-buffer prefetch extension.  The hook tests run
+the per-access hooks of ``tests/cpu/oracle.py``."""
 
 import pytest
 
@@ -8,6 +9,7 @@ from repro.cpu.pipeline import CPUSimulator
 from repro.isa.trace import TraceBuilder
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.params import base_config
+from tests.cpu.oracle import as_oracle
 
 
 @pytest.fixture
@@ -17,13 +19,13 @@ def machine():
 
 class TestStreamBuffer:
     def test_allocation_on_miss(self, machine):
-        assist = StreamBufferAssist(machine, buffers=2, depth=4)
+        assist = as_oracle(StreamBufferAssist(machine, buffers=2, depth=4))
         assert assist.lookup_alternate(0x1000, 0x1000 // 32) is None
         # A stream was allocated starting at the next line.
         assert assist.prefetched_blocks == 4
 
     def test_sequential_misses_hit_buffer(self, machine):
-        assist = StreamBufferAssist(machine, buffers=2, depth=4)
+        assist = as_oracle(StreamBufferAssist(machine, buffers=2, depth=4))
         line = 0x1000 // 32
         assist.lookup_alternate(0x1000, line)          # allocate
         served = assist.lookup_alternate(0x1020, line + 1)
@@ -34,7 +36,7 @@ class TestStreamBuffer:
         assert assist.assist_hits == 1
 
     def test_stream_advances(self, machine):
-        assist = StreamBufferAssist(machine, buffers=1, depth=2)
+        assist = as_oracle(StreamBufferAssist(machine, buffers=1, depth=2))
         line = 0
         assist.lookup_alternate(0, 0)                   # stream: 1,2
         assert assist.lookup_alternate(32, 1) is not None   # stream: 2,3
@@ -42,7 +44,7 @@ class TestStreamBuffer:
         assert assist.lookup_alternate(96, 3) is not None
 
     def test_lru_buffer_reallocation(self, machine):
-        assist = StreamBufferAssist(machine, buffers=1, depth=2)
+        assist = as_oracle(StreamBufferAssist(machine, buffers=1, depth=2))
         assist.lookup_alternate(0x1000, 0x1000 // 32)
         assist.lookup_alternate(0x9000, 0x9000 // 32)  # steals the buffer
         # The old stream is gone.
@@ -50,7 +52,7 @@ class TestStreamBuffer:
 
     def test_never_bypasses_or_captures(self, machine):
         from repro.memory.block import CacheBlock
-        assist = StreamBufferAssist(machine)
+        assist = as_oracle(StreamBufferAssist(machine))
         assert assist.fill_decision(0, None).cache_in_l1
         block = CacheBlock(5)
         assert assist.on_l1_evict(block) is block

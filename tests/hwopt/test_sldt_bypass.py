@@ -1,4 +1,5 @@
-"""Unit tests for the SLDT and the bypass buffer."""
+"""Unit tests for the SLDT and the bypass buffer, one access at a time
+(the per-access methods of ``tests/cpu/oracle.py``)."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,12 +8,13 @@ from hypothesis import strategies as st
 from repro.hwopt.bypass import BypassBuffer
 from repro.hwopt.sldt import SpatialLocalityDetector
 from repro.params import BypassParams
+from tests.cpu.oracle import as_oracle
 
 
 class TestSLDT:
     def make(self, entries=4):
         params = BypassParams(sldt_entries=entries, spatial_threshold=2)
-        return SpatialLocalityDetector(params, line_size=32)
+        return as_oracle(SpatialLocalityDetector(params, line_size=32))
 
     def test_unknown_block_not_spatial(self):
         sldt = self.make()
@@ -42,7 +44,7 @@ class TestSLDT:
         params = BypassParams(
             sldt_entries=1, spatial_counter_max=3, spatial_counter_min=-2
         )
-        sldt = SpatialLocalityDetector(params, line_size=32)
+        sldt = as_oracle(SpatialLocalityDetector(params, line_size=32))
         for line in range(50):
             sldt.observe(line * 32)
         sldt.flush_judgements()
@@ -55,31 +57,31 @@ class TestSLDT:
 
 class TestBypassBuffer:
     def test_insert_then_hit(self):
-        buffer = BypassBuffer(4)
+        buffer = as_oracle(BypassBuffer(4))
         buffer.insert(0x100)
         assert buffer.lookup(0x100)
         assert buffer.hits == 1
 
     def test_dword_granularity(self):
-        buffer = BypassBuffer(4)
+        buffer = as_oracle(BypassBuffer(4))
         buffer.insert(0x100)
         assert buffer.lookup(0x104)       # same double word
         assert not buffer.lookup(0x108)   # next double word: miss
 
     def test_lru_displacement_returns_dirty_addr(self):
-        buffer = BypassBuffer(2)
+        buffer = as_oracle(BypassBuffer(2))
         buffer.insert(0x100, dirty=True)
         buffer.insert(0x200)
         displaced = buffer.insert(0x300)
         assert displaced == 0x100
 
     def test_clean_displacement_returns_none(self):
-        buffer = BypassBuffer(1)
+        buffer = as_oracle(BypassBuffer(1))
         buffer.insert(0x100, dirty=False)
         assert buffer.insert(0x200) is None
 
     def test_write_hit_marks_dirty(self):
-        buffer = BypassBuffer(2)
+        buffer = as_oracle(BypassBuffer(2))
         buffer.insert(0x100)
         buffer.lookup(0x100, is_write=True)
         buffer.insert(0x200)
@@ -93,7 +95,7 @@ class TestBypassBuffer:
     @given(st.lists(st.integers(0, 1 << 12), min_size=1, max_size=200))
     @settings(max_examples=50, deadline=None)
     def test_capacity_invariant(self, addrs):
-        buffer = BypassBuffer(8)
+        buffer = as_oracle(BypassBuffer(8))
         for addr in addrs:
             buffer.insert(addr)
         assert len(buffer) <= 8

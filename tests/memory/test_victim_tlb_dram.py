@@ -9,36 +9,37 @@ from repro.memory.dram import MainMemory
 from repro.memory.tlb import TLB
 from repro.memory.victim import VictimCache
 from repro.params import MachineParams, TLBParams
+from tests.cpu.oracle import as_oracle
 
 
 class TestVictimCache:
     def test_insert_then_extract(self):
-        victim = VictimCache(4)
+        victim = as_oracle(VictimCache(4))
         victim.insert(CacheBlock(10))
         block = victim.extract(10)
         assert block is not None and block.block_addr == 10
         assert not victim.contains(10)  # extraction removes
 
     def test_extract_miss_counted(self):
-        victim = VictimCache(4)
+        victim = as_oracle(VictimCache(4))
         assert victim.extract(99) is None
         assert victim.stats.misses == 1
 
     def test_lru_displacement(self):
-        victim = VictimCache(2)
+        victim = as_oracle(VictimCache(2))
         victim.insert(CacheBlock(1))
         victim.insert(CacheBlock(2))
         displaced = victim.insert(CacheBlock(3))
         assert displaced.block_addr == 1
 
     def test_displaced_dirty_counts_writeback(self):
-        victim = VictimCache(1)
+        victim = as_oracle(VictimCache(1))
         victim.insert(CacheBlock(1, dirty=True))
         victim.insert(CacheBlock(2))
         assert victim.stats.writebacks == 1
 
     def test_reinsert_merges_dirty(self):
-        victim = VictimCache(2)
+        victim = as_oracle(VictimCache(2))
         victim.insert(CacheBlock(5, dirty=False))
         assert victim.insert(CacheBlock(5, dirty=True)) is None
         block = victim.extract(5)
@@ -51,7 +52,7 @@ class TestVictimCache:
     @given(st.lists(st.integers(0, 63), min_size=1, max_size=200))
     @settings(max_examples=50, deadline=None)
     def test_occupancy_bounded(self, lines):
-        victim = VictimCache(8)
+        victim = as_oracle(VictimCache(8))
         for line in lines:
             victim.insert(CacheBlock(line))
         assert len(victim) <= 8
