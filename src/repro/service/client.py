@@ -2,14 +2,19 @@
 
 Used by the test suite, the CI smoke step, and the benchmark harness;
 also a reference for talking to the service from anything that can
-speak HTTP.  One connection per call — the server closes connections
-after each response anyway.
+speak HTTP.  Each calling thread keeps one persistent connection per
+client and sends its requests on it in turn; :meth:`ServiceClient.events`
+opens its own, because the server ends an event stream by closing it.
 
 Failure behaviour is deliberate, because the chaos suite drives this
 client through a fault-injecting proxy:
 
 * transport errors (dropped connections, resets) retry with
   decorrelated-jitter exponential backoff up to ``retries`` times;
+* a request sent on a kept-alive connection that the server has
+  closed meanwhile (idle timeout, drain) is sent once more on a new
+  connection, whatever ``retries`` is — but only when no byte of its
+  response arrived, so a stale socket never runs a request twice;
 * a truncated NDJSON event stream ends the :meth:`events` generator
   cleanly, and :meth:`wait` falls back to polling the job document;
 * :meth:`wait` honours ``Retry-After`` on 429/503 shed responses and
@@ -22,6 +27,8 @@ from __future__ import annotations
 import http.client
 import json
 import random
+import socket
+import threading
 import time
 from typing import Any, Iterator, Optional
 
@@ -58,6 +65,26 @@ def _next_backoff(previous: float) -> float:
     return min(_BACKOFF_CAP, random.uniform(_BACKOFF_BASE, previous * 3))
 
 
+def _send(
+    connection: http.client.HTTPConnection,
+    method: str,
+    path: str,
+    payload: Optional[bytes],
+    headers: dict,
+) -> None:
+    """Send one request and block until its response's first byte.
+
+    Raises ``ConnectionError`` if the connection ends before that byte
+    arrives.  The server answers every request it reads, so only then
+    may the request be sent again without running it twice.
+    """
+    connection.request(method, path, body=payload, headers=headers)
+    if not connection.sock.recv(1, socket.MSG_PEEK):
+        raise http.client.RemoteDisconnected(
+            "connection closed before the response"
+        )
+
+
 class ServiceClient:
     """Thin convenience wrapper over the service's JSON endpoints.
 
@@ -66,6 +93,9 @@ class ServiceClient:
     once received, are never retried at this layer.  ``client_id`` is
     sent as ``X-Repro-Client`` so the server's per-client admission cap
     keys on it rather than on the peer address.
+
+    Safe to share between threads: each thread sends on its own
+    kept-alive connection, which :meth:`close` closes.
     """
 
     def __init__(
@@ -81,34 +111,56 @@ class ServiceClient:
         self.timeout = timeout
         self.retries = retries
         self.client_id = client_id
+        self._local = threading.local()
 
     # ------------------------------------------------------------------
     # transport
 
+    def _connection(self) -> http.client.HTTPConnection:
+        """The calling thread's connection (opened on first use)."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = http.client.HTTPConnection(
+                self.host, self.port, timeout=self.timeout
+            )
+            self._local.connection = connection
+        return connection
+
+    def close(self) -> None:
+        """Close the calling thread's connection; the next call reopens
+        it."""
+        connection = getattr(self._local, "connection", None)
+        if connection is not None:
+            connection.close()
+
     def _request_once(
         self, method: str, path: str, body: Optional[dict]
     ) -> tuple[int, dict, bytes]:
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
+        payload = json.dumps(body).encode() if body is not None else None
+        headers = {"Content-Type": "application/json"} if payload else {}
+        if self.client_id:
+            headers["X-Repro-Client"] = self.client_id
+        connection = self._connection()
+        reused = connection.sock is not None
         try:
-            payload = (
-                json.dumps(body).encode() if body is not None else None
-            )
-            headers = (
-                {"Content-Type": "application/json"} if payload else {}
-            )
-            if self.client_id:
-                headers["X-Repro-Client"] = self.client_id
-            connection.request(method, path, body=payload, headers=headers)
+            try:
+                _send(connection, method, path, payload, headers)
+            except ConnectionError:
+                if not reused:
+                    raise
+                # The server closed the kept-alive connection before
+                # any byte of the response: resend once on a new one.
+                connection.close()
+                _send(connection, method, path, payload, headers)
             response = connection.getresponse()
             response_headers = {
                 name.lower(): value
                 for name, value in response.getheaders()
             }
             return response.status, response_headers, response.read()
-        finally:
+        except BaseException:
             connection.close()
+            raise
 
     def request(
         self,
@@ -121,10 +173,10 @@ class ServiceClient:
         Retries transport failures — connection errors *and* torn
         responses (``IncompleteRead``, ``BadStatusLine`` from a peer
         dying mid-response) — up to ``self.retries`` times with
-        decorrelated-jitter backoff.  POSTs are retried too: job
-        submission is idempotent at the cell level (the store and
-        single-flight registry dedupe), so a duplicate submit costs a
-        duplicate job document, never duplicate work.
+        decorrelated-jitter backoff, each on a new connection.  POSTs
+        are retried too: job submission is idempotent at the cell level
+        (the store and single-flight registry dedupe), so a duplicate
+        submit costs a duplicate job document, never duplicate work.
         """
         attempts = self.retries + 1
         sleep = _BACKOFF_BASE
@@ -259,7 +311,13 @@ class ServiceClient:
         shedding) back off with decorrelated jitter, honouring the
         server's ``Retry-After``; any other 4xx raises immediately —
         retrying a 404 will never make the job exist.
+
+        The calling thread's connection is closed first: it would idle
+        while the stream runs, and a job usually outlasts the server's
+        idle timeout, so the request after the stream would otherwise
+        meet a socket the server has closed.
         """
+        self.close()
         deadline = time.monotonic() + timeout
         sleep = _BACKOFF_BASE
         while True:

@@ -92,7 +92,17 @@ class Job:
     )
     #: Why the job was cancelled (client request, deadline, drain).
     cancel_reason: str = ""
+    #: state → number of jobs in it, shared by every job of a service
+    #: and kept by :meth:`_set_state`.
+    state_counts: dict[str, int] = field(
+        default_factory=dict, repr=False, compare=False
+    )
     _waiters: list[asyncio.Future] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        self.state_counts[self.state] = (
+            self.state_counts.get(self.state, 0) + 1
+        )
 
     @property
     def cancelling(self) -> bool:
@@ -142,8 +152,23 @@ class Job:
             },
         )
 
-    def finish(self, state: str, error: str = "") -> None:
+    def _set_state(self, state: str) -> None:
+        """The one place a job changes state."""
+        counts = self.state_counts
+        left = counts[self.state] - 1
+        if left:
+            counts[self.state] = left
+        else:
+            del counts[self.state]
+        counts[state] = counts.get(state, 0) + 1
         self.state = state
+
+    def start(self) -> None:
+        self._set_state("running")
+        self.emit("job", state="running")
+
+    def finish(self, state: str, error: str = "") -> None:
+        self._set_state(state)
         self.error = error
         self.finished = time.time()
         self.emit("job", state=state, error=error)

@@ -14,7 +14,10 @@ port, then drives it over HTTP with the stdlib client:
    ``/v1/status`` must report no pending job once both are done;
 4. a **fault-injected** job (worker killed on every attempt) — must
    degrade to a structured failed job while the server keeps
-   answering.
+   answering;
+5. twenty sequential requests from a new client — must share one
+   persistent connection: ``/v1/metrics`` ``connections`` grows by
+   exactly 1.
 
 Exit status 0 only if every claim holds.
 
@@ -161,6 +164,15 @@ def main() -> int:
                 "fault-injected job degraded to structured failure "
                 f"({failure['message']}); server still serving"
             )
+
+            probe = ServiceClient("127.0.0.1", port, timeout=120)
+            before = client.metrics()["connections"]
+            for _ in range(20):
+                probe.status()
+            added = client.metrics()["connections"] - before
+            if added != 1:
+                _fail(f"20 sequential requests opened {added} connections")
+            print("20 sequential requests from one client shared 1 connection")
             return 0
         finally:
             process.terminate()
